@@ -76,6 +76,7 @@ from .kde import (
     feature_count,
     kde_bruteforce,
     kde_matvec,
+    kernel_map,
     make_instance,
     solve,
 )
@@ -170,6 +171,7 @@ __all__ = [
     "feature_count",
     "kde_bruteforce",
     "kde_matvec",
+    "kernel_map",
     "make_instance",
     "solve",
 ]

@@ -295,7 +295,7 @@ class _TailCache:
         return tb
 
 
-def _check_capacity(spec: ProblemSpec, D: int, p_target: int) -> None:
+def _check_tail_cutoff(spec: ProblemSpec, D: int, p_target: int) -> None:
     V = tail_cutoff(D, spec.lam.to_float(), p_target)
     if V > MAX_TAIL_CUTOFF:
         raise CapacityError(
@@ -313,7 +313,7 @@ def find_degree(spec: ProblemSpec) -> DegreeCertificate:
     around the regime prediction followed by binary search is exact.
     """
     p_tail = _TAIL_BITS
-    _check_capacity(spec, 1, p_tail)
+    _check_tail_cutoff(spec, 1, p_tail)
     tails = _TailCache(spec, p_tail)
     threshold = spec.delta_frac - radius_sum_budget(spec, cert_precision(spec))
     if threshold <= 0:
@@ -331,7 +331,7 @@ def find_degree(spec: ProblemSpec) -> DegreeCertificate:
         while not ok(hi):
             lo = hi
             hi *= 2
-            _check_capacity(spec, hi, p_tail)
+            _check_tail_cutoff(spec, hi, p_tail)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if ok(mid):

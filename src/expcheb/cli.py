@@ -34,12 +34,7 @@ from .approx import (
 from .coeffs import Target, coefficient_range
 from .errors import CapacityError, DomainError, ExpchebError
 from .hp import hpf
-from .kde import (
-    expand_kernel_poly,
-    kde_bruteforce,
-    kde_matvec,
-    make_instance,
-)
+from .kde import kde_bruteforce, kde_matvec, kernel_map, make_instance
 from .polyio import parse_polynomial, render_polynomial
 
 DEFAULT_BITS_ENV = "EXPCHEB_BITS"
@@ -273,14 +268,9 @@ def _load_instance(args):
 
 def cmd_kde(args) -> str:
     inst = _load_instance(args)
-    spec = problem(Target.EXP_NEG, inst.B, inst.delta / 2,
-                   args.precision_bits)
-    cert = find_degree(spec)
-    from .kde import _check_capacity
-    _check_capacity(inst.m, cert.D_upper, args.max_columns)
-    poly = export_polynomial(spec, cert)
-    fm = expand_kernel_poly(poly, inst.m, args.max_columns)
-    res = kde_matvec(inst, fm, workers=args.workers, force=args.force,
+    cert, fm = kernel_map(inst.m, inst.B, inst.delta, args.precision_bits,
+                          args.max_columns)
+    res = kde_matvec(inst, fm, force=args.force,
                      validate_diameter=args.validate_diameter)
     doc = {
         "n": inst.n,
@@ -294,7 +284,7 @@ def cmd_kde(args) -> str:
             "D_upper": cert.D_upper,
             "D_lower": cert.D_lower,
             "lower_witness": cert.lower_witness.value,
-            "certified_sup_bound": _dec(poly.certified_sup_bound, 12),
+            "certified_sup_bound": _dec(fm.poly.certified_sup_bound, 12),
         },
         "float_error_bound": repr(res.float_error_bound),
         "used_high_precision": res.used_high_precision,
@@ -367,12 +357,7 @@ def cmd_bench(args) -> str:
         raise DomainError("bench sizes must be at least 2")
     delta = _frac_from_text(args.delta)
     B = _frac_from_text(args.B)
-    spec = problem(Target.EXP_NEG, B, delta / 2, args.precision_bits)
-    cert = find_degree(spec)
-    from .kde import _check_capacity
-    _check_capacity(args.m, cert.D_upper, args.max_columns)
-    poly = export_polynomial(spec, cert)
-    fm = expand_kernel_poly(poly, args.m, args.max_columns)
+    _, fm = kernel_map(args.m, B, delta, args.precision_bits, args.max_columns)
 
     # points drawn inside a box whose squared diameter stays below B
     side = math.sqrt(0.98 * float(B) / args.m)
@@ -389,7 +374,7 @@ def cmd_bench(args) -> str:
         best_total = best_build = best_mv = math.inf
         best_brute = math.inf
         for _ in range(max(1, args.repeats)):
-            res = kde_matvec(inst, fm, workers=args.workers)
+            res = kde_matvec(inst, fm)
             total = res.elapsed_build + res.elapsed_matvec
             if total < best_total:
                 best_total = total
@@ -485,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default=None, help="per-entry tolerance")
     p.add_argument("--B", default=None,
                    help="squared-diameter bound (estimated when omitted)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--force", choices=("plain", "high"), default=None)
     p.add_argument("--validate", action="store_true",
                    help="run the brute-force oracle and report the "
@@ -517,7 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="dimension")
     p.add_argument("--B", required=True)
     p.add_argument("--delta", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--repeats", type=int, default=1,
                    help="repetitions per size; the minimum is reported")
     p.add_argument("--max-columns", type=int, default=2_000_000,

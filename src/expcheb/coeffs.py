@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -175,7 +174,10 @@ def _prefactor_raw(lam_raw, target: Target, bits: int, rnd: str):
     return mpf_shift(e, 1)
 
 
-def _coeff(v: int, lam, target: Target, p_target: int) -> CoeffValue:
+def coefficient(v: int, lam, target: Target,
+                p_target: int = DEFAULT_BITS) -> CoeffValue:
+    """Order-v coefficient 2*exp(-lam)*(-1)^v*I_v(lam) (EXP_NEG) or
+    2*exp(lam)*I_v(lam) (EXP_POS), with a certified radius."""
     base = modified_bessel(v, lam, p_target)
     lam = _check_lam(lam)
     bits = base.value.bits
@@ -192,36 +194,10 @@ def _coeff(v: int, lam, target: Target, p_target: int) -> CoeffValue:
     return CoeffValue(HPReal._wrap(val, bits), HPReal._wrap(rad, 64))
 
 
-def coeff_exp_neg(v: int, lam, p_target: int = DEFAULT_BITS) -> CoeffValue:
-    """Order-v coefficient 2*exp(-lam)*(-1)^v*I_v(lam) of the decaying target."""
-    return _coeff(v, lam, Target.EXP_NEG, p_target)
-
-
-def coeff_exp_pos(v: int, lam, p_target: int = DEFAULT_BITS) -> CoeffValue:
-    """Order-v coefficient 2*exp(lam)*I_v(lam) of the growing target."""
-    return _coeff(v, lam, Target.EXP_POS, p_target)
-
-
-def coefficient(v: int, lam, target: Target,
-                p_target: int = DEFAULT_BITS) -> CoeffValue:
-    return _coeff(v, lam, target, p_target)
-
-
 def coefficient_range(orders, lam, target: Target,
-                      p_target: int = DEFAULT_BITS,
-                      workers: int | None = None) -> list[CoeffValue]:
-    """Coefficients for a batch of orders.
-
-    With `workers`, the batch is partitioned across a thread pool; every
-    element is a pure function of its arguments, so the result is bitwise
-    identical to the sequential computation.
-    """
-    orders = list(orders)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda v: _coeff(v, lam, target, p_target), orders))
-    return [_coeff(v, lam, target, p_target) for v in orders]
+                      p_target: int = DEFAULT_BITS) -> list[CoeffValue]:
+    """Coefficients for a batch of orders."""
+    return [coefficient(v, lam, target, p_target) for v in orders]
 
 
 def tail_cutoff(start: int, lam_f: float, p_target: int) -> int:

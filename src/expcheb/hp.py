@@ -265,7 +265,3 @@ class HPReal:
 def hpf(value, bits: int = DEFAULT_BITS) -> HPReal:
     """Shorthand constructor."""
     return HPReal(value, bits)
-
-
-def working_bits(*values: HPReal) -> int:
-    return min(v.bits for v in values)

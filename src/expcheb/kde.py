@@ -75,13 +75,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .approx import (
+    DegreeCertificate,
     ExportedPolynomial,
     export_polynomial,
     find_degree,
@@ -89,7 +89,7 @@ from .approx import (
 )
 from .coeffs import Target
 from .errors import CapacityError, DomainError, SoundnessError
-from .hp import hpf
+from .hp import DEFAULT_BITS, hpf
 from .special import critical_constant_neg
 
 MAX_COLUMNS = 2_000_000
@@ -165,7 +165,7 @@ def feature_count(m: int, d: int) -> int:
     return math.comb(m + d + 1, d)
 
 
-def _check_capacity(m: int, d: int, max_columns: int = MAX_COLUMNS) -> int:
+def _check_rank(m: int, d: int, max_columns: int = MAX_COLUMNS) -> int:
     R = feature_count(m, d)
     if R > max_columns:
         raise CapacityError(
@@ -242,7 +242,7 @@ def enumerate_multi_indices(m: int, d: int,
     """
     if m < 1 or d < 1:
         raise DomainError("m and d must be positive")
-    _check_capacity(m, d, max_columns)
+    _check_rank(m, d, max_columns)
     return [tuple(int(e) for e in vec) for vec in _monomial_tree(m, d)[0]]
 
 
@@ -290,7 +290,7 @@ def expand_kernel_poly(poly: ExportedPolynomial, m: int,
     if m < 1:
         raise DomainError("m must be positive")
     d = max(poly.degree, 1)
-    _check_capacity(m, d, max_columns)
+    _check_rank(m, d, max_columns)
     p = list(poly.monomial_form) + [Fraction(0)] * (d + 1)
     for c in p:
         if c.denominator & (c.denominator - 1):
@@ -425,19 +425,9 @@ def _midrange(inst: KdeInstance) -> np.ndarray:
 
 def _chunks(n: int, rank: int, chunk_bytes: int) -> list[slice]:
     """Row chunks of at most chunk_bytes per rank-wide row block; they
-    depend on n and the rank only, never on the worker count."""
+    depend on n and the rank only."""
     step = max(1, chunk_bytes // (8 * rank))
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
-
-
-def _run_blocks(fn, blocks, workers: int):
-    """Apply fn to each block, yielding the results in block order."""
-    if len(blocks) > 1 and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, blocks)
-    else:
-        for b in blocks:
-            yield fn(b)
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +576,13 @@ def gamma_ops(n: int, fm: FeatureMap) -> int:
     return n + fm.rank + fm.d * (fm.m + 2) + 8
 
 
-def kde_matvec(inst: KdeInstance, fm: FeatureMap, workers: int = 1,
-               force: str | None = None,
+def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
                validate_diameter: bool = False) -> KdeResult:
     """v = Xmat @ (Ymat.T @ w) with a certified floating-point budget.
 
     Rows are streamed in chunks whose boundaries depend only on n and
-    the rank; partial reductions are merged in chunk order, so the
-    result is bitwise identical for every `workers` count, which only
-    sets how many chunks run at once.
+    the rank, and partial reductions are merged in chunk order, so the
+    result is bitwise reproducible.
 
     `force` is None (auto), "plain" (stay in double precision; raises
     SoundnessError if the budget check fails), or "high" (always use the
@@ -630,7 +618,7 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, workers: int = 1,
     use_high = force == "high"
     if not use_high:
         t0 = time.perf_counter()
-        v, abs_max, feat_s = _matvec_plain(inst, fm, center, workers)
+        v, abs_max, feat_s = _matvec_plain(inst, fm, center)
         plain_s = time.perf_counter() - t0
         bound = _gamma(N, _EPS) * abs_max * abs_scale + shift_slack
         build_elapsed, matvec_elapsed = feat_s, max(plain_s - feat_s, 0.0)
@@ -643,7 +631,7 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, workers: int = 1,
             build_elapsed = plain_s
     if use_high:
         t1 = time.perf_counter()
-        v, abs_max = _matvec_dd(inst, fm, center, workers)
+        v, abs_max = _matvec_dd(inst, fm, center)
         matvec_elapsed = time.perf_counter() - t1
         bound = _gamma(2 * N, _EPS_DD) * abs_max * abs_scale + shift_slack
         if bound > budget:
@@ -659,8 +647,8 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, workers: int = 1,
                      diameter_violation=violation)
 
 
-def _matvec_plain(inst: KdeInstance, fm: FeatureMap, center: np.ndarray,
-                  workers: int) -> tuple[np.ndarray, float, float]:
+def _matvec_plain(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
+                  ) -> tuple[np.ndarray, float, float]:
     """Streamed BLAS passes with the absolute-value pass fused in.
 
     Returns v, max_i fl(A_i) and the time spent building feature rows.
@@ -687,18 +675,18 @@ def _matvec_plain(inst: KdeInstance, fm: FeatureMap, center: np.ndarray,
     svec = np.zeros(fm.rank)
     sabs = np.zeros(fm.rank)
     feat_s = 0.0
-    for ps, pa, t in _run_blocks(reduce, chunks, workers):
+    for ps, pa, t in map(reduce, chunks):
         svec += ps
         sabs += pa
         feat_s += t
-    outs = list(_run_blocks(output, chunks, workers))
+    outs = list(map(output, chunks))
     v = np.concatenate([o[0] for o in outs])
     abs_max = max(float(o[1].max()) for o in outs)
     return v, abs_max, feat_s + sum(o[2] for o in outs)
 
 
-def _matvec_dd(inst: KdeInstance, fm: FeatureMap, center: np.ndarray,
-               workers: int) -> tuple[np.ndarray, float]:
+def _matvec_dd(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
+               ) -> tuple[np.ndarray, float]:
     """Double-double end to end over streamed chunks of feature rows;
     the absolute-value pass runs in plain doubles alongside."""
     w = inst.w
@@ -723,10 +711,10 @@ def _matvec_dd(inst: KdeInstance, fm: FeatureMap, center: np.ndarray,
     sh = np.zeros(fm.rank)
     sl = np.zeros(fm.rank)
     sabs = np.zeros(fm.rank)
-    for ph, pl, pa in _run_blocks(reduce, chunks, workers):
+    for ph, pl, pa in map(reduce, chunks):
         sh, sl = _dd_add(sh, sl, ph, pl)
         sabs += pa
-    outs = list(_run_blocks(output, chunks, workers))
+    outs = list(map(output, chunks))
     v = np.concatenate([o[0] for o in outs])
     abs_max = max(float(o[1].max()) for o in outs)
     return v, abs_max
@@ -743,16 +731,29 @@ def kde_bruteforce(inst: KdeInstance, chunk: int = 256) -> np.ndarray:
     return v
 
 
-def solve(inst: KdeInstance, workers: int = 1, force: str | None = None,
+def kernel_map(m: int, B, delta, bits: int = DEFAULT_BITS,
+               max_columns: int = MAX_COLUMNS
+               ) -> tuple[DegreeCertificate, FeatureMap]:
+    """Certify p for exp(-z) on [0, B] at delta/2 and factor p(||x - y||^2).
+
+    The certify->factor half of the KDE pipeline, shared by `solve` and
+    the `kde` and `bench` subcommands; `delta` is the KDE tolerance, whose
+    other half goes to the floating-point passes.  The rank is checked
+    before the polynomial is exported.
+    """
+    spec = problem(Target.EXP_NEG, B, Fraction(delta) / 2, bits)
+    cert = find_degree(spec)
+    _check_rank(m, cert.D_upper, max_columns)
+    poly = export_polynomial(spec, cert)
+    return cert, expand_kernel_poly(poly, m, max_columns)
+
+
+def solve(inst: KdeInstance, force: str | None = None,
           validate_diameter: bool = False,
           max_columns: int = MAX_COLUMNS) -> KdeResult:
     """End-to-end driver: certify a polynomial at delta/2, expand, matvec."""
-    spec = problem(Target.EXP_NEG, inst.B, inst.delta / 2)
-    cert = find_degree(spec)
-    _check_capacity(inst.m, cert.D_upper, max_columns)
-    poly = export_polynomial(spec, cert)
-    fm = expand_kernel_poly(poly, inst.m, max_columns)
-    return kde_matvec(inst, fm, workers=workers, force=force,
+    _, fm = kernel_map(inst.m, inst.B, inst.delta, max_columns=max_columns)
+    return kde_matvec(inst, fm, force=force,
                       validate_diameter=validate_diameter)
 
 
@@ -803,7 +804,7 @@ def cost_model(n: int, alpha: float, beta: float, kappa: float) -> CostModel:
             spec = problem(Target.EXP_NEG, repr(B), repr(n ** -beta))
             d = find_degree(spec).D_upper
             source = "certificate"
-        except Exception:
+        except CapacityError:
             pass
     M = feature_count(m, d)
     x = kappa * nu

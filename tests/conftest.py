@@ -1,5 +1,7 @@
 """Shared pytest wiring: one summary line per acceptance criterion."""
 
+import os
+
 ACCEPTANCE = {
     1: "saturation constant and rate-level solvers",
     2: "series coefficients against an independent recurrence",
@@ -12,6 +14,14 @@ ACCEPTANCE = {
     9: "cost-model exponent shrinks with the window width",
     10: "saddle identity and Chebyshev extremal structure",
 }
+
+
+def pytest_configure(config):
+    # pyproject's `pythonpath = ["src"]` reaches this process only; the
+    # subprocess tests run `python -m expcheb.cli` and need it as well
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from expcheb.approx import find_degree, problem
 from expcheb.cli import main
-from expcheb.kde import kde_bruteforce, make_instance
+from expcheb.coeffs import Target
+from expcheb.kde import kde_bruteforce, make_instance, solve
 
 
 def _run(capsys, argv):
@@ -201,6 +203,39 @@ def test_kde_instance_json(tmp_path, capsys):
     brute = kde_bruteforce(inst)
     got = np.array([float(t) for t in res["v"]])
     assert np.abs(got - brute).max() <= 1e-3 * np.abs(inst.w).sum()
+
+
+def _tight_doc():
+    # points spread over the whole of B = 25 at delta = 1e-6: the plain
+    # double-precision bound misses its budget and the matvec escalates
+    rng = np.random.default_rng(31)
+    side = math.sqrt(0.98 * 25)
+    return {"x": rng.uniform(-side / 2, side / 2, (8, 1)).tolist(),
+            "y": rng.uniform(-side / 2, side / 2, (8, 1)).tolist(),
+            "w": rng.normal(size=8).tolist(), "delta": "1e-6", "B": "25"}
+
+
+@pytest.mark.parametrize("doc,escalates",
+                         [(_instance_doc(n=40, seed=12), False),
+                          (_tight_doc(), True)], ids=["plain", "escalated"])
+def test_kde_matches_solve_bitwise(tmp_path, capsys, monkeypatch, doc,
+                                   escalates):
+    # the subcommand and solve() run one certify -> factor -> matvec path
+    monkeypatch.delenv("EXPCHEB_BITS", raising=False)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, ["kde", "--instance", str(path),
+                                 "--no-timings"])
+    assert code == 0
+    got = json.loads(out)
+    inst = make_instance(np.asarray(doc["x"]), np.asarray(doc["y"]),
+                         np.asarray(doc["w"]), doc["delta"], doc.get("B"))
+    res = solve(inst)
+    cert = find_degree(problem(Target.EXP_NEG, inst.B, inst.delta / 2))
+    assert (got["degree"], got["M"], got["certificate"]["D_lower"]) \
+        == (res.degree, res.M, cert.D_lower)
+    assert got["used_high_precision"] is res.used_high_precision is escalates
+    assert got["v"] == [repr(float(x)) for x in res.v]
 
 
 def test_kde_csv_inputs(tmp_path, capsys):

@@ -13,15 +13,12 @@ import oracles
 from expcheb.coeffs import (
     CoeffValue,
     Target,
-    coeff_exp_neg,
-    coeff_exp_pos,
     coefficient,
     coefficient_range,
     modified_bessel,
     tail_bounds,
     tail_cutoff,
 )
-from expcheb.coeffs import _bessel_raw
 from expcheb.errors import DomainError
 from expcheb.hp import hpf
 
@@ -86,8 +83,8 @@ def test_values_positive_and_decreasing_in_order():
 def test_coefficient_signs():
     lam = hpf(3, 128)
     for v in range(0, 8):
-        neg = coeff_exp_neg(v, lam).value.to_fraction()
-        pos = coeff_exp_pos(v, lam).value.to_fraction()
+        neg = coefficient(v, lam, Target.EXP_NEG).value.to_fraction()
+        pos = coefficient(v, lam, Target.EXP_POS).value.to_fraction()
         assert pos > 0
         if v % 2 == 0:
             assert neg > 0
@@ -208,18 +205,6 @@ def test_series_reconstruction_within_certified_bracket():
                 acc = acc + cvs[v].value * (theta * v).cos()
             diff = abs((f - acc).to_fraction())
             assert diff <= budget
-
-
-def test_batch_bitwise_identical_to_sequential():
-    lam = hpf(Fraction(7, 2), 128)
-    orders = list(range(0, 24))
-    _bessel_raw.cache_clear()
-    par = coefficient_range(orders, lam, Target.EXP_NEG, 128, workers=4)
-    _bessel_raw.cache_clear()
-    seq = coefficient_range(orders, lam, Target.EXP_NEG, 128)
-    for a, b in zip(par, seq):
-        assert a.value.raw == b.value.raw
-        assert a.radius.raw == b.radius.raw
 
 
 def test_precision_levels_are_mutually_consistent():

@@ -343,7 +343,7 @@ def test_bruteforce_hand_instance():
     assert abs(v[1] - want) < 1e-14
 
 
-def test_matvec_bitwise_deterministic_per_worker_count():
+def test_matvec_bitwise_deterministic():
     rng = np.random.default_rng(17)
     X, Y = _box_points(rng, 40, 2, 4)
     w = rng.normal(size=40)
@@ -351,24 +351,9 @@ def test_matvec_bitwise_deterministic_per_worker_count():
     spec = problem(Target.EXP_NEG, 4, str(Fraction("1e-4") / 2))
     poly = export_polynomial(spec, find_degree(spec))
     fm = expand_kernel_poly(poly, 2)
-    a = kde_matvec(inst, fm, workers=3)
-    b = kde_matvec(inst, fm, workers=3)
+    a = kde_matvec(inst, fm)
+    b = kde_matvec(inst, fm)
     assert a.v.tobytes() == b.v.tobytes()
-
-
-def test_matvec_stable_across_partitions():
-    rng = np.random.default_rng(23)
-    X, Y = _box_points(rng, 50, 2, 4)
-    w = rng.normal(size=50)
-    inst = make_instance(X, Y, w, "1e-4", B=4)
-    spec = problem(Target.EXP_NEG, 4, str(Fraction("1e-4") / 2))
-    poly = export_polynomial(spec, find_degree(spec))
-    fm = expand_kernel_poly(poly, 2)
-    base = kde_matvec(inst, fm, workers=1).v
-    for workers in (2, 5, 8):
-        cur = kde_matvec(inst, fm, workers=workers).v
-        ulps = np.abs(cur - base) / np.spacing(np.abs(base))
-        assert ulps.max() <= 8
 
 
 def _tight_instance():
@@ -460,6 +445,15 @@ def test_cost_model_scaling_regime():
     assert cm6.degree == 2
     # C(25, 2) = 300; ln(300) / ln(2^32)
     assert abs(cm6.exponent_bound - 0.2572) < 2e-3
+
+
+def test_cost_model_certifies_when_B_allows():
+    # B = 0.3 ln 2^32 ~ 6.65 >= 1, so the degree is the certified one
+    n = 2 ** 32
+    cm = cost_model(n, 1.0, 1.0, 0.3)
+    assert cm.degree_source == "certificate"
+    spec = problem(Target.EXP_NEG, repr(0.3 * math.log(n)), repr(n ** -1.0))
+    assert cm.degree == find_degree(spec).D_upper
 
 
 def test_cost_model_validation():
