@@ -11,8 +11,8 @@ Layering:
 - ``hp``       arbitrary-precision reals with directed rounding
 - ``special``  the decay-rate function, its level-set constants, and
                monic Chebyshev evaluation
-- ``coeffs``   certified series coefficients (Bessel-type sums) and
-               two-sided truncation-tail brackets
+- ``coeffs``   certified Chebyshev coefficients from one directed Bessel
+               recurrence, and two-sided truncation-tail brackets
 - ``approx``   degree certificates, regime prediction, exact-rational
                polynomial export
 - ``remez``    an independent minimax oracle used for cross-checks

@@ -25,15 +25,15 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from typing import Sequence
 
 from mpmath.libmp import mpf_exp, mpf_neg
 
 from .coeffs import (
     CoeffValue,
-    TailBounds,
     Target,
-    coefficient,
+    coefficient_range,
     tail_bounds,
     tail_cutoff,
 )
@@ -276,23 +276,9 @@ def build_series(spec: ProblemSpec, D: int,
     """First D coefficients (orders 0..D-1) at certified precision."""
     if not isinstance(D, int) or D < 1:
         raise DomainError("coefficient count D must be a positive integer")
-    coeffs = tuple(coefficient(v, spec.lam, spec.target, p_target)
-                   for v in range(D))
+    coeffs = tuple(coefficient_range(range(D), spec.lam, spec.target,
+                                     p_target))
     return ChebSeries(spec.lam, spec.target, coeffs)
-
-
-class _TailCache:
-    def __init__(self, spec: ProblemSpec, p_target: int):
-        self.spec = spec
-        self.p_target = p_target
-        self._memo: dict[int, TailBounds] = {}
-
-    def __call__(self, D: int) -> TailBounds:
-        tb = self._memo.get(D)
-        if tb is None:
-            tb = tail_bounds(D, self.spec.lam, self.spec.target, self.p_target)
-            self._memo[D] = tb
-        return tb
 
 
 def _check_tail_cutoff(spec: ProblemSpec, D: int, p_target: int) -> None:
@@ -314,7 +300,8 @@ def find_degree(spec: ProblemSpec) -> DegreeCertificate:
     """
     p_tail = _TAIL_BITS
     _check_tail_cutoff(spec, 1, p_tail)
-    tails = _TailCache(spec, p_tail)
+    tails = cache(partial(tail_bounds, lam=spec.lam, target=spec.target,
+                          p_target=p_tail))
     threshold = spec.delta_frac - radius_sum_budget(spec, cert_precision(spec))
     if threshold <= 0:
         raise SoundnessError("tolerance too small for the export precision")

@@ -6,11 +6,18 @@ exp(lam*x + lam) on x in [-1, 1] have Chebyshev coefficients
     a_v = 2*exp(-lam) * (-1)^v * I_v(lam)      (decaying target)
     a_v = 2*exp(+lam) * I_v(lam)               (growing target)
 
-where I_v is the modified Bessel function of the first kind, computed
-here from its all-positive power series so a rigorous error radius can
-be attached to every value.  `tail_bounds` turns those certified values
-into a two-sided bracket on the tail sums that control how well the
-series can be truncated:
+where I_v is the modified Bessel function of the first kind.
+
+Lemma.  I_{v-1}(lam) = I_{v+1}(lam) + (2v/lam) I_v(lam) has only positive
+terms, so run down from enclosures of I_{V+1} and I_V with every operation
+rounded down (up) it bounds each I_v, v <= V, from below (above).  A step
+whose inputs are within relative error e returns one within
+(1+e)(1+u)^3 - 1, u one ulp: 3 ulps per step.  So w >= p + ceil(log2 3V)
++ guard working bits keep the whole family within 2^-p relative.  The
+positive power series of I_v only seeds I_V and I_{V+1}.
+
+`tail_bounds` turns the family into a two-sided bracket on the tail sums
+that control how well the series can be truncated:
 
     sqrt(0.5 * sum_{k>=D} a_k^2 / k)  <=  best degree-(D-1) sup error
                                       <=  sum_{j>=D} |a_j|
@@ -25,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from mpmath.libmp import (
     from_int,
@@ -71,13 +77,6 @@ class CoeffValue:
     value: HPReal
     radius: HPReal
 
-    def upper_abs_raw(self, bits: int):
-        return mpf_add(abs(self.value).raw, self.radius.raw, bits, "u")
-
-    def lower_abs_raw(self, bits: int):
-        lo = mpf_sub(abs(self.value).raw, self.radius.raw, bits, "d")
-        return lo if mpf_cmp(lo, fzero) > 0 else fzero
-
 
 @dataclass(frozen=True)
 class TailBounds:
@@ -98,22 +97,22 @@ def _check_lam(lam) -> HPReal:
     return lam
 
 
-def _work_bits(v: int, lam_f: float, p_target: int) -> int:
-    return p_target + math.ceil(1.45 * lam_f) + 8 * math.ceil(
-        math.log2(v + lam_f + 2)) + 32
+def modified_bessel(v: int, lam, p_target: int = DEFAULT_BITS) -> CoeffValue:
+    """I_v(lam) for integer v >= 0, lam >= 1/2, with a certified radius.
 
-
-@lru_cache(maxsize=None)
-def _bessel_raw(v: int, lam_raw, p_target: int):
-    """Raw positive-series evaluation of I_v(lam) with a relative error bound.
-
-    Returns (sum_raw, rel_err_bound_raw, store_bits).  Terms are updated
-    incrementally: t_{k+1} = t_k * (lam^2/4) / ((k+1)(v+k+1)); since every
-    term is positive the accumulated relative error of the sum is at most
+    Sums the power series; terms are updated incrementally:
+    t_{k+1} = t_k * (lam^2/4) / ((k+1)(v+k+1)); since every term is
+    positive the accumulated relative error of the sum is at most
     (4N + v + 16) units in the last place of the working precision.
     """
-    lam_f = abs(HPReal._wrap(lam_raw, 64).to_float())
-    p_work = _work_bits(v, lam_f, p_target)
+    if not isinstance(v, int) or v < 0:
+        raise DomainError("order v must be a nonnegative integer")
+    if p_target < 64:
+        raise DomainError("p_target must be at least 64 bits")
+    lam = _check_lam(lam)
+    lam_raw, lam_f = lam.raw, lam.to_float()
+    p_work = p_target + math.ceil(1.45 * lam_f) + 8 * math.ceil(
+        math.log2(v + lam_f + 2)) + 32
     while True:
         if p_work > MAX_BITS:
             raise PrecisionOverflowError(
@@ -146,20 +145,28 @@ def _bessel_raw(v: int, lam_raw, p_target: int):
             rel = mpf_add(
                 mpf_shift(from_int(rel_ulps), -p_work),
                 mpf_shift(from_int(1), -store), 64, "u")
-            return (mpf_add(s, fzero, store, "n"), rel, store)
+            s = mpf_add(s, fzero, store, "n")
+            rad = mpf_mul(s, rel, 64, "u")
+            return CoeffValue(HPReal._wrap(s, store), HPReal._wrap(rad, 64))
         p_work *= 2
 
 
-def modified_bessel(v: int, lam, p_target: int = DEFAULT_BITS) -> CoeffValue:
-    """I_v(lam) for integer v >= 0, lam >= 1/2, with a certified radius."""
-    if not isinstance(v, int) or v < 0:
-        raise DomainError("order v must be a nonnegative integer")
-    if p_target < 64:
-        raise DomainError("p_target must be at least 64 bits")
-    lam = _check_lam(lam)
-    s, rel, store = _bessel_raw(v, lam.raw, p_target)
-    rad = mpf_mul(s, rel, 64, "u")
-    return CoeffValue(HPReal._wrap(s, store), HPReal._wrap(rad, 64))
+def _bessel_family(V: int, lam: HPReal, bits: int):
+    """Lower and upper bounds on I_0(lam)..I_V(lam) within 2^-bits relative:
+    the module docstring's recurrence, seeded by the series at V and V+1."""
+    w = bits + (3 * V + 3).bit_length() + 8
+    seeds = modified_bessel(V + 1, lam, w), modified_bessel(V, lam, w)
+    runs = []
+    for rnd, edge in (("d", mpf_sub), ("u", mpf_add)):
+        above, cur = (edge(cv.value.raw, cv.radius.raw, w, rnd) for cv in seeds)
+        run = [cur]
+        for v in range(V, 0, -1):
+            step = mpf_div(mpf_mul(cur, from_int(2 * v), w, rnd),
+                           lam.raw, w, rnd)
+            above, cur = cur, mpf_add(above, step, w, rnd)
+            run.append(cur)
+        runs.append(run[::-1])
+    return runs
 
 
 def _prefactor_raw(lam_raw, target: Target, bits: int, rnd: str):
@@ -178,26 +185,34 @@ def coefficient(v: int, lam, target: Target,
                 p_target: int = DEFAULT_BITS) -> CoeffValue:
     """Order-v coefficient 2*exp(-lam)*(-1)^v*I_v(lam) (EXP_NEG) or
     2*exp(lam)*I_v(lam) (EXP_POS), with a certified radius."""
-    base = modified_bessel(v, lam, p_target)
-    lam = _check_lam(lam)
-    bits = base.value.bits
-    pref = mpf_exp(mpf_neg(lam.raw) if target is Target.EXP_NEG else lam.raw,
-                   bits, "n")
-    pref = mpf_shift(pref, 1)
-    val = mpf_mul(base.value.raw, pref, bits, "n")
-    # relative error: series bound + exp rounding + two multiplications
-    rel = mpf_add(mpf_div(base.radius.raw, base.value.raw, 64, "u"),
-                  mpf_shift(from_int(3), -bits), 64, "u")
-    rad = mpf_mul(val, rel, 64, "u")
-    if target is Target.EXP_NEG and v % 2 == 1:
-        val = mpf_neg(val)
-    return CoeffValue(HPReal._wrap(val, bits), HPReal._wrap(rad, 64))
+    return coefficient_range([v], lam, target, p_target)[0]
 
 
 def coefficient_range(orders, lam, target: Target,
                       p_target: int = DEFAULT_BITS) -> list[CoeffValue]:
-    """Coefficients for a batch of orders."""
-    return [coefficient(v, lam, target, p_target) for v in orders]
+    """Coefficients for a batch of orders, from one Bessel family; each
+    radius is at most 2^-p_target times its value."""
+    orders = list(orders)
+    if any(not isinstance(v, int) or v < 0 for v in orders):
+        raise DomainError("order v must be a nonnegative integer")
+    if p_target < 64:
+        raise DomainError("p_target must be at least 64 bits")
+    lam = _check_lam(lam)
+    bits = p_target + 64
+    lows, highs = _bessel_family(max(orders, default=0), lam, bits)
+    pref_dn = _prefactor_raw(lam.raw, target, bits, "d")
+    pref_up = _prefactor_raw(lam.raw, target, bits, "u")
+    out = []
+    for v in orders:
+        lo = mpf_mul(lows[v], pref_dn, bits, "d")
+        hi = mpf_mul(highs[v], pref_up, bits, "u")
+        # lo and hi are representable, so the rounded midpoint is in [lo, hi]
+        val = mpf_shift(mpf_add(lo, hi, bits, "n"), -1)
+        rad = mpf_sub(hi, lo, 64, "u")
+        if target is Target.EXP_NEG and v % 2 == 1:
+            val = mpf_neg(val)
+        out.append(CoeffValue(HPReal._wrap(val, bits), HPReal._wrap(rad, 64)))
+    return out
 
 
 def tail_cutoff(start: int, lam_f: float, p_target: int) -> int:
@@ -231,20 +246,18 @@ def tail_bounds(start: int, lam, target: Target,
             f"termwise ratio {HPReal._wrap(q_ub, 64).to_float():g} at cutoff "
             f"{V} exceeds 1/e; no certified tail bound")
 
-    vals = [modified_bessel(j, lam, p_target) for j in range(start, V + 1)]
+    lows, highs = _bessel_family(V, lam, wb)
 
     up = fzero
-    for cv in vals:
-        up = mpf_add(up, cv.upper_abs_raw(wb), wb, "u")
+    for ub in highs[start:]:
+        up = mpf_add(up, ub, wb, "u")
     # geometric remainder from V+1 on
-    last_ub = vals[-1].upper_abs_raw(wb)
     one_minus_q = mpf_sub(from_int(1), q_ub, wb, "d")
-    rem = mpf_div(mpf_mul(last_ub, q_ub, wb, "u"), one_minus_q, wb, "u")
+    rem = mpf_div(mpf_mul(highs[V], q_ub, wb, "u"), one_minus_q, wb, "u")
     up = mpf_add(up, rem, wb, "u")
 
     low = fzero
-    for j, cv in zip(range(start, V + 1), vals):
-        lb = cv.lower_abs_raw(wb)
+    for j, lb in enumerate(lows[start:], start):
         sq = mpf_div(mpf_mul(lb, lb, wb, "d"), from_int(j), wb, "d")
         low = mpf_add(low, sq, wb, "d")
     low = mpf_sqrt(mpf_shift(low, -1), wb, "d")

@@ -21,7 +21,7 @@ Everything here is a pure function of `HPReal` inputs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .errors import ConvergenceError, DomainError
 from .hp import DEFAULT_BITS, HPReal, hpf
@@ -251,7 +251,7 @@ def solve_rate_level(level: HPReal, lo: HPReal, hi: HPReal,
     return x.with_bits(bits)
 
 
-@lru_cache(maxsize=None)
+@cache
 def saturation_constant(bits: int = DEFAULT_BITS) -> HPReal:
     """The x with decay_rate(x) = -1 (about 2.2334).
 

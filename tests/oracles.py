@@ -1,10 +1,13 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here is deliberately implemented with algorithms different
-from the package's own: Bessel values come from Miller's backward
-recurrence normalized by exp(lam) = I_0 + 2 sum I_k, tails from direct
-high-precision summation, and kernel expansions from exact rational
-brute force.  mpmath supplies only raw arbitrary-precision arithmetic.
+Everything here is deliberately implemented independently of the
+package.  The package also runs the Bessel recurrence downward, but from
+certified power-series seeds at the top two orders; the oracle's Miller
+recurrence starts from an arbitrary value far above the order, with no
+seed, and is normalized by exp(lam) = I_0 + 2 sum I_k, so the two share
+no input.  Tails come from direct high-precision summation, and kernel
+expansions from exact rational brute force.  mpmath supplies only raw
+arbitrary-precision arithmetic.
 """
 
 from __future__ import annotations

@@ -149,6 +149,17 @@ def test_critical_certificate_regression():
     assert cert.D_lower <= cert.D_upper
 
 
+@pytest.mark.parametrize("target,B,delta,degrees", (
+    (Target.EXP_NEG, "201.3", "1e-8", (59, 53)),
+    (Target.EXP_POS, "101.7", "1e-6", (121, 118)),
+))
+def test_certify_wide_degrees_pinned(target, B, delta, degrees):
+    # the benchmark's certify-wide domains, pinned so that a change in the
+    # Bessel layer cannot move a certified degree unnoticed
+    cert = find_degree(_spec(target, B, delta))
+    assert (cert.D_upper, cert.D_lower) == degrees
+
+
 def test_degree_monotone_in_domain_width():
     prev = 0
     for B in (1, 2, 4, 8, 16, 32):

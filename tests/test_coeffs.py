@@ -13,6 +13,7 @@ import oracles
 from expcheb.coeffs import (
     CoeffValue,
     Target,
+    _bessel_family,
     coefficient,
     coefficient_range,
     modified_bessel,
@@ -20,7 +21,7 @@ from expcheb.coeffs import (
     tail_cutoff,
 )
 from expcheb.errors import DomainError
-from expcheb.hp import hpf
+from expcheb.hp import HPReal, hpf
 
 P = 192
 
@@ -38,6 +39,20 @@ def test_bessel_matches_independent_recurrence():
             ref = oracles.bessel_i(v, lam, dps=60)
             got = modified_bessel(v, hpf(lam, P), p_target=P)
             assert _rel(got.value, ref) < 1e-30
+
+
+def test_bessel_family_encloses_oracle_at_benchmark_scale():
+    # B = 201.3 is the wide exp(-x) case; V = 895 is its tail cutoff
+    lam = hpf(Fraction("100.65"), 128)
+    lows, highs = _bessel_family(895, lam, 128)
+    assert len(lows) == len(highs) == 896
+    for v in (0, 1, 300, 895):
+        ref = _mpf_fraction(oracles.bessel_i(v, lam.to_decimal(80), dps=60))
+        slack = ref / 10 ** 50  # oracle's own rounding headroom
+        lo = HPReal._wrap(lows[v], 64).to_fraction()
+        hi = HPReal._wrap(highs[v], 64).to_fraction()
+        assert lo - slack <= ref <= hi + slack
+        assert hi - lo <= hi / 2 ** 128
 
 
 def test_bessel_frozen_goldens():
@@ -227,6 +242,8 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         modified_bessel(2, lam, p_target=32)
     with pytest.raises(DomainError):
+        coefficient_range([3, -1], lam, Target.EXP_NEG)
+    with pytest.raises(DomainError):
         tail_bounds(0, lam, Target.EXP_NEG)
     with pytest.raises(DomainError):
         tail_bounds(3, lam, "exp-neg")  # type: ignore[arg-type]
@@ -242,3 +259,10 @@ def test_radius_invariant_property(v, lam_f):
     val = abs(cv.value.to_fraction())
     floor = Fraction(1, 2 ** 128)
     assert 0 < rad <= floor * max(val, floor)
+    # every coefficient radius stays below 2^-p of its value, which
+    # approx.radius_sum_budget relies on
+    for p in (128, 384):
+        for target in Target:
+            for cv in coefficient_range(range(v + 1), hpf(lam_f, p), target, p):
+                rad = cv.radius.to_fraction()
+                assert 0 < rad <= abs(cv.value.to_fraction()) / 2 ** p
