@@ -12,7 +12,8 @@ Layering:
 - ``special``  the decay-rate function, its level-set constants, and
                monic Chebyshev evaluation
 - ``coeffs``   certified Chebyshev coefficients from one directed Bessel
-               recurrence, and two-sided truncation-tail brackets
+               recurrence, and one table of two-sided truncation-tail
+               brackets per family
 - ``approx``   degree certificates, regime prediction, exact-rational
                polynomial export
 - ``remez``    an independent minimax oracle used for cross-checks

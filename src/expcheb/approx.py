@@ -3,12 +3,12 @@
 The builder works in three stages:
 
 1. `predict_degree` classifies the (B, delta) pair into a regime and
-   produces a closed-form degree estimate.  The estimate only seeds the
-   search and labels reports; it carries no soundness weight.
-2. `find_degree` turns certified coefficient-tail brackets into a
-   `DegreeCertificate`: the minimal degree whose truncation error is
-   provably below delta, plus a lower witness showing nearby smaller
-   degrees cannot work.
+   produces a closed-form degree estimate.  The estimate only labels
+   reports; it carries no soundness weight.
+2. `find_degree` reads certified coefficient-tail brackets for every
+   start from one table and turns them into a `DegreeCertificate`: the
+   minimal degree whose truncation error is provably below delta, plus
+   a lower witness showing nearby smaller degrees cannot work.
 3. `export_polynomial` materializes the certified truncation as both a
    Chebyshev-basis form (for stable evaluation) and exact dyadic-rational
    monomial coefficients in the original variable z in [0, B], with every
@@ -25,7 +25,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from typing import Sequence
 
 from mpmath.libmp import mpf_exp, mpf_neg
@@ -36,6 +35,7 @@ from .coeffs import (
     coefficient_range,
     tail_bounds,
     tail_cutoff,
+    tail_table,
 )
 from .errors import (
     BitBudgetError,
@@ -53,7 +53,7 @@ from .special import (
 )
 
 # Regime thresholds on rho = B / (2 ln(1/delta)).  They only steer
-# reporting and the search seed; certificates carry the soundness.
+# reporting; certificates carry the soundness.
 RHO_SMALL = 0.05
 RHO_LARGE = 20.0
 
@@ -295,59 +295,40 @@ def find_degree(spec: ProblemSpec) -> DegreeCertificate:
 
     D_upper is the least D >= 1 whose tail upper bound, plus the error
     radii the exported coefficients will carry, is provably below delta.
-    The tail upper bound is nonincreasing in D, so an exponential bracket
-    around the regime prediction followed by binary search is exact.
+    Every bracket is read from one `tail_table` at the cutoff of
+    S = max(1, ceil(8*lam)), by two linear scans: D_upper is the least
+    D <= S below the threshold, D_lower the largest D <= D_upper whose
+    L2 lower bracket still reaches delta.  Only when no D <= S qualifies
+    does S double, clamped so that its cutoff stays within
+    MAX_TAIL_CUTOFF.
     """
     p_tail = _TAIL_BITS
-    _check_tail_cutoff(spec, 1, p_tail)
-    tails = cache(partial(tail_bounds, lam=spec.lam, target=spec.target,
-                          p_target=p_tail))
+    lam_f = spec.lam.to_float()
+    S = max(1, math.ceil(8 * lam_f))
+    _check_tail_cutoff(spec, S, p_tail)
+    S_max = MAX_TAIL_CUTOFF - (tail_cutoff(S, lam_f, p_tail) - S)
     threshold = spec.delta_frac - radius_sum_budget(spec, cert_precision(spec))
     if threshold <= 0:
         raise SoundnessError("tolerance too small for the export precision")
 
-    def ok(D: int) -> bool:
-        return tails(D).upper.to_fraction() < threshold
+    while True:
+        tails = tail_table(tail_cutoff(S, lam_f, p_tail), spec.lam,
+                           spec.target, p_tail)
+        D_upper = next((D for D in range(1, S + 1)
+                        if tails(D).upper.to_fraction() < threshold), None)
+        if D_upper is not None:
+            break
+        if S == S_max:
+            _check_tail_cutoff(spec, S + 1, p_tail)  # raises CapacityError
+        S = min(2 * S, S_max)
+    tail_at = tails(D_upper).upper
 
-    seed = max(1, min(int(predict_degree(spec).predicted_degree.to_float()),
-                      MAX_TAIL_CUTOFF))
-    if ok(1):
-        D_upper = 1
-    else:
-        lo, hi = 1, max(2, seed)
-        while not ok(hi):
-            lo = hi
-            hi *= 2
-            _check_tail_cutoff(spec, hi, p_tail)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        D_upper = hi
-    tail_at = tails(D_upper)
-
-    # Lower witness.  The L2 tail lower bound is nonincreasing in D; find
-    # the largest D where it still reaches delta.
-    def low_ok(D: int) -> bool:
-        return tails(D).lower.to_fraction() >= spec.delta_frac
-
-    if low_ok(1):
-        lo, hi = 1, 2
-        while hi <= D_upper and low_ok(hi):
-            lo = hi
-            hi *= 2
-        hi = min(hi, D_upper + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if low_ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        D_lower = lo
-        return DegreeCertificate(spec, D_upper, tail_at.upper, D_lower,
-                                 LowerWitness.TAIL_L2, tails(D_lower).lower)
+    # Lower witness: the largest D whose L2 tail lower bound reaches delta.
+    witness = next((tb for tb in map(tails, range(D_upper, 0, -1))
+                    if tb.lower.to_fraction() >= spec.delta_frac), None)
+    if witness is not None:
+        return DegreeCertificate(spec, D_upper, tail_at, witness.start,
+                                 LowerWitness.TAIL_L2, witness.lower)
 
     can_growth = (spec.target is Target.EXP_NEG
                   and spec.delta_frac < Fraction(1, 4)
@@ -360,10 +341,10 @@ def find_degree(spec: ProblemSpec) -> DegreeCertificate:
             D_growth = None
         if D_growth is not None:
             D_lower = min(D_growth, D_upper)
-            return DegreeCertificate(spec, D_upper, tail_at.upper, D_lower,
+            return DegreeCertificate(spec, D_upper, tail_at, D_lower,
                                      LowerWitness.CHEB_GROWTH,
                                      hpf(D_growth, 64))
-    return DegreeCertificate(spec, D_upper, tail_at.upper, 1,
+    return DegreeCertificate(spec, D_upper, tail_at, 1,
                              LowerWitness.DEFINITION, tails(1).lower)
 
 
@@ -462,34 +443,19 @@ def eval_monomial(coeffs: Sequence[Fraction], z: HPReal,
 # export
 
 
-def _cheb_monomial_rows(d: int) -> list[list[int]]:
-    """Integer monomial coefficients of the scaled Chebyshev polynomials."""
-    rows = [[1]]
-    if d >= 1:
-        rows.append([0, 1])
-    for j in range(2, d + 1):
-        row = [0] * (j + 1)
-        for i, c in enumerate(rows[j - 1]):
-            row[i + 1] += 2 * c
-        for i, c in enumerate(rows[j - 2]):
-            row[i] -= c
-        rows.append(row)
-    return rows
-
-
-def _compose_affine(px: list[Fraction], e: Fraction, g: Fraction) -> list[Fraction]:
-    """Coefficients of p(e + g*z) given coefficients of p(x)."""
-    res = [Fraction(0)]
-    for c in reversed(px):
-        new = [Fraction(0)] * (len(res) + 1)
-        for i, rc in enumerate(res):
-            new[i] += rc * e
-            new[i + 1] += rc * g
-        new[0] += c
-        while len(new) > 1 and new[-1] == 0:
-            new.pop()
-        res = new
-    return res
+def _shifted_cheb_rows(d: int):
+    """Integer monomial coefficients in u of T_j(2u - 1), for j = 0..d, from
+    T*_{j+1} = 2(2u - 1) T*_j - T*_{j-1}."""
+    prev, cur = [1], [-1, 2]
+    yield prev
+    for _ in range(d):
+        yield cur
+        nxt = [-2 * c for c in cur] + [0]
+        for i, c in enumerate(cur):
+            nxt[i + 1] += 4 * c
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
 
 
 def _round_dyadic(c: Fraction, k: int) -> Fraction:
@@ -508,10 +474,10 @@ def export_polynomial(spec: ProblemSpec,
     """Materialize the certified degree-D_upper truncation on [0, B].
 
     The Chebyshev form keeps full-precision coefficients with radii; the
-    monomial form is produced by exact basis conversion and affine
-    composition, then each coefficient is rounded to a dyadic rational
-    under a per-degree budget so the total rounding error, the truncation
-    tail, and the coefficient radii together stay below delta.
+    monomial form is produced by one exact integer conversion from the
+    shifted Chebyshev basis, then each coefficient is rounded to a dyadic
+    rational under a per-degree budget so the total rounding error, the
+    truncation tail, and the coefficient radii together stay below delta.
     """
     if cert.spec is not spec and (cert.spec.B_frac != spec.B_frac
                                   or cert.spec.delta_frac != spec.delta_frac
@@ -530,20 +496,20 @@ def export_polynomial(spec: ProblemSpec,
     if margin <= 0:
         raise SoundnessError("certificate margin exhausted before rounding")
 
-    # exact Chebyshev -> monomial on [-1, 1]
-    rows = _cheb_monomial_rows(d)
-    px = [Fraction(0)] * (d + 1)
-    for j, cv in enumerate(series.coeffs):
-        a = cv.value.to_fraction()
-        if j == 0:
-            a = a / 2
-        for i, rc in enumerate(rows[j]):
-            if rc:
-                px[i] += a * rc
-    # affine composition to z in [0, B]: x = 2z/B - 1 for both targets
-    pz = _compose_affine(px, Fraction(-1), Fraction(2) / spec.B_frac)
-    if len(pz) < d + 1:
-        pz += [Fraction(0)] * (d + 1 - len(pz))
+    # exact Chebyshev -> monomial in z: p(z) = sum_j a_j T_j(2z/B - 1) with
+    # a_0 halved; every a_j = m_j 2^e_j goes to one integer scale 2^e, and
+    # each coefficient of u^i = (z/B)^i is divided by B^i once
+    raws = [cv.value.raw for cv in series.coeffs]
+    e = min(exp for _, _, exp, _ in raws) - 1
+    acc = [0] * (d + 1)
+    for j, ((sign, man, exp, _), row) in enumerate(
+            zip(raws, _shifted_cheb_rows(d))):
+        m = (-man if sign else man) << (exp - e - (j == 0))
+        for i, r in enumerate(row):
+            acc[i] += m * r
+    Bpow = [spec.B_frac ** j for j in range(d + 1)]
+    scale = Fraction(2) ** e
+    pz = [n * scale / Bpow[i] for i, n in enumerate(acc)]
 
     # rounding budget: min of the delta budget, the remaining certificate
     # margin, and the budget implied by the 2^-40 form-agreement invariant
@@ -553,7 +519,6 @@ def export_polynomial(spec: ProblemSpec,
     budget_total = min(spec.delta_frac / 4, margin / 2,
                        f_floor * Fraction(1, 1 << 48))
     bit_cap = coefficient_bit_budget(d)
-    Bpow = [spec.B_frac ** j for j in range(d + 1)]
 
     for attempt in range(5):
         mono: list[Fraction] = []

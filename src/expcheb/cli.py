@@ -40,13 +40,6 @@ from .polyio import parse_polynomial, render_polynomial
 DEFAULT_BITS_ENV = "EXPCHEB_BITS"
 
 
-def _default_bits() -> int:
-    try:
-        return int(os.environ.get(DEFAULT_BITS_ENV, "128"))
-    except ValueError:
-        return 128
-
-
 def _target(text: str) -> Target:
     try:
         return Target(text)
@@ -405,7 +398,8 @@ def cmd_bench(args) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int,
-                        default=_default_bits(), dest="precision_bits",
+                        default=os.environ.get(DEFAULT_BITS_ENV, "128"),
+                        dest="precision_bits",
                         help="working precision in bits (default 128, or "
                              f"${DEFAULT_BITS_ENV})")
     common.add_argument("--format", choices=("json", "csv", "text"),

@@ -16,21 +16,25 @@ whose inputs are within relative error e returns one within
 + guard working bits keep the whole family within 2^-p relative.  The
 positive power series of I_v only seeds I_V and I_{V+1}.
 
-`tail_bounds` turns the family into a two-sided bracket on the tail sums
-that control how well the series can be truncated:
+`tail_table` turns one family, at a cutoff V, into two-sided brackets on
+the tail sums that control how well the series can be truncated, for
+every start D in 1..V:
 
     sqrt(0.5 * sum_{k>=D} a_k^2 / k)  <=  best degree-(D-1) sup error
                                       <=  sum_{j>=D} |a_j|
 
-Upper bounds are accumulated with upward-directed rounding and lower
-bounds with downward-directed rounding, so the returned bracket is a
-true enclosure, not a heuristic.
+Both suffix sums are accumulated once, from V down: the upper one with
+upward-directed rounding, the lower one with downward-directed rounding,
+so each bracket is a true enclosure, not a heuristic, and each is
+nonincreasing in D.  `tail_bounds(D)` reads the table at
+V = tail_cutoff(D).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from mpmath.libmp import (
@@ -52,6 +56,7 @@ from .errors import (
     CutoffError,
     DomainError,
     PrecisionOverflowError,
+    SoundnessError,
 )
 from .hp import DEFAULT_BITS, MAX_BITS, HPReal
 
@@ -101,9 +106,10 @@ def modified_bessel(v: int, lam, p_target: int = DEFAULT_BITS) -> CoeffValue:
     """I_v(lam) for integer v >= 0, lam >= 1/2, with a certified radius.
 
     Sums the power series; terms are updated incrementally:
-    t_{k+1} = t_k * (lam^2/4) / ((k+1)(v+k+1)); since every term is
-    positive the accumulated relative error of the sum is at most
-    (4N + v + 16) units in the last place of the working precision.
+    t_{k+1} = t_k * (lam^2/4) / ((k+1)(v+k+1)).  Every term is positive,
+    so the relative error of the sum does not depend on the size of its
+    terms: at most (4N + v + 16) units in the last place of the working
+    precision, which the guard bits always cover.
     """
     if not isinstance(v, int) or v < 0:
         raise DomainError("order v must be a nonnegative integer")
@@ -111,44 +117,42 @@ def modified_bessel(v: int, lam, p_target: int = DEFAULT_BITS) -> CoeffValue:
         raise DomainError("p_target must be at least 64 bits")
     lam = _check_lam(lam)
     lam_raw, lam_f = lam.raw, lam.to_float()
-    p_work = p_target + math.ceil(1.45 * lam_f) + 8 * math.ceil(
-        math.log2(v + lam_f + 2)) + 32
+    p_work = p_target + 8 * math.ceil(math.log2(v + lam_f + 2)) + 32
+    if p_work > MAX_BITS:
+        raise PrecisionOverflowError(
+            f"coefficient (v={v}, lam~{lam_f:g}) needs more than "
+            f"{MAX_BITS} working bits")
+    c = mpf_shift(mpf_mul(lam_raw, lam_raw, p_work, "n"), -2)  # lam^2/4
+    # t_0 = (lam/2)^v / v!
+    half = mpf_shift(lam_raw, -1)
+    t = from_int(1)
+    for _ in range(v):
+        t = mpf_mul(t, half, p_work, "n")
+    t = mpf_div(t, from_int(math.factorial(v)), p_work, "n")
+    s = t
+    n_terms = 1
+    k = 0
     while True:
-        if p_work > MAX_BITS:
-            raise PrecisionOverflowError(
-                f"coefficient (v={v}, lam~{lam_f:g}) needs more than "
-                f"{MAX_BITS} working bits")
-        c = mpf_shift(mpf_mul(lam_raw, lam_raw, p_work, "n"), -2)  # lam^2/4
-        # t_0 = (lam/2)^v / v!
-        half = mpf_shift(lam_raw, -1)
-        t = from_int(1)
-        for _ in range(v):
-            t = mpf_mul(t, half, p_work, "n")
-        t = mpf_div(t, from_int(math.factorial(v)), p_work, "n")
-        s = t
-        n_terms = 1
-        k = 0
-        while True:
-            denom = (k + 1) * (v + k + 1)
-            t = mpf_div(mpf_mul(t, c, p_work, "n"), from_int(denom), p_work, "n")
-            s = mpf_add(s, t, p_work, "n")
-            n_terms += 1
-            k += 1
-            ratio_small = mpf_cmp(c, from_int(2 * (k + 1) * (v + k + 1))) <= 0
-            if ratio_small and mpf_cmp(t, mpf_shift(s, -(p_work + 8))) <= 0:
-                break
-            if n_terms > _MAX_TERMS:
-                raise ConvergenceError("coefficient series failed to settle")
-        rel_ulps = 4 * n_terms + v + 16
-        if rel_ulps < (1 << (p_work - p_target - 2)):
-            store = p_target + 64
-            rel = mpf_add(
-                mpf_shift(from_int(rel_ulps), -p_work),
-                mpf_shift(from_int(1), -store), 64, "u")
-            s = mpf_add(s, fzero, store, "n")
-            rad = mpf_mul(s, rel, 64, "u")
-            return CoeffValue(HPReal._wrap(s, store), HPReal._wrap(rad, 64))
-        p_work *= 2
+        denom = (k + 1) * (v + k + 1)
+        t = mpf_div(mpf_mul(t, c, p_work, "n"), from_int(denom), p_work, "n")
+        s = mpf_add(s, t, p_work, "n")
+        n_terms += 1
+        k += 1
+        ratio_small = mpf_cmp(c, from_int(2 * (k + 1) * (v + k + 1))) <= 0
+        if ratio_small and mpf_cmp(t, mpf_shift(s, -(p_work + 8))) <= 0:
+            break
+        if n_terms > _MAX_TERMS:
+            raise ConvergenceError("coefficient series failed to settle")
+    rel_ulps = 4 * n_terms + v + 16
+    if rel_ulps >= 1 << (p_work - p_target - 2):
+        raise SoundnessError(
+            f"coefficient series (v={v}, lam~{lam_f:g}) spent its guard bits")
+    store = p_target + 64
+    rel = mpf_add(mpf_shift(from_int(rel_ulps), -p_work),
+                  mpf_shift(from_int(1), -store), 64, "u")
+    s = mpf_add(s, fzero, store, "n")
+    rad = mpf_mul(s, rel, 64, "u")
+    return CoeffValue(HPReal._wrap(s, store), HPReal._wrap(rad, 64))
 
 
 def _bessel_family(V: int, lam: HPReal, bits: int):
@@ -220,22 +224,21 @@ def tail_cutoff(start: int, lam_f: float, p_target: int) -> int:
     return max(start, math.ceil(8 * lam_f)) + math.ceil(p_target * _LN2)
 
 
-def tail_bounds(start: int, lam, target: Target,
-                p_target: int = DEFAULT_BITS) -> TailBounds:
-    """Certified two-sided bounds on the coefficient tail from `start` up.
+def tail_table(V: int, lam, target: Target, p_target: int = DEFAULT_BITS
+               ) -> Callable[[int], TailBounds]:
+    """Tail brackets for every start 1..V from one Bessel family at cutoff V.
 
-    The explicit sum runs to V = max(start, ceil(8*lam)) + ceil(p*ln 2).
     Beyond V the termwise inequality I_{v+1}(lam) <= lam/(2(v+1)) * I_v(lam)
     certifies a geometric remainder with ratio q = lam/(2(V+1)); the code
-    validates q <= 1/e explicitly and refuses to return a bound otherwise.
+    validates q <= 1/e explicitly and refuses to build a table otherwise.
+    The upper sum (seeded by that remainder) and the L2 lower sum are
+    accumulated once, from V down, so each suffix sum is nonincreasing in
+    its start; the returned `bounds(start)` applies the prefactor and the
+    square root of that start.
     """
-    if not isinstance(start, int) or start < 1:
-        raise DomainError("tail start must be a positive integer")
     lam = _check_lam(lam)
     if not isinstance(target, Target):
         raise DomainError("target must be a Target")
-    lam_f = lam.to_float()
-    V = tail_cutoff(start, lam_f, p_target)
     wb = p_target + 32
 
     # geometric-ratio validation at the cutoff
@@ -247,23 +250,36 @@ def tail_bounds(start: int, lam, target: Target,
             f"{V} exceeds 1/e; no certified tail bound")
 
     lows, highs = _bessel_family(V, lam, wb)
-
-    up = fzero
-    for ub in highs[start:]:
-        up = mpf_add(up, ub, wb, "u")
-    # geometric remainder from V+1 on
     one_minus_q = mpf_sub(from_int(1), q_ub, wb, "d")
-    rem = mpf_div(mpf_mul(highs[V], q_ub, wb, "u"), one_minus_q, wb, "u")
-    up = mpf_add(up, rem, wb, "u")
-
+    up = mpf_div(mpf_mul(highs[V], q_ub, wb, "u"), one_minus_q, wb, "u")
     low = fzero
-    for j, lb in enumerate(lows[start:], start):
-        sq = mpf_div(mpf_mul(lb, lb, wb, "d"), from_int(j), wb, "d")
+    ups, l2s = [fzero] * (V + 1), [fzero] * (V + 1)
+    for j in range(V, 0, -1):
+        up = mpf_add(up, highs[j], wb, "u")
+        sq = mpf_div(mpf_mul(lows[j], lows[j], wb, "d"), from_int(j), wb, "d")
         low = mpf_add(low, sq, wb, "d")
-    low = mpf_sqrt(mpf_shift(low, -1), wb, "d")
-
+        ups[j], l2s[j] = up, low
     pref_up = _prefactor_raw(lam.raw, target, wb, "u")
     pref_dn = _prefactor_raw(lam.raw, target, wb, "d")
-    upper = HPReal._wrap(mpf_mul(up, pref_up, wb, "u"), p_target)
-    lower = HPReal._wrap(mpf_mul(low, pref_dn, wb, "d"), p_target)
-    return TailBounds(start, lam, target, upper, lower, V)
+
+    def bounds(start: int) -> TailBounds:
+        if not 1 <= start <= V:
+            raise DomainError(f"tail start must lie in 1..{V}")
+        upper = mpf_mul(ups[start], pref_up, wb, "u")
+        lower = mpf_mul(mpf_sqrt(mpf_shift(l2s[start], -1), wb, "d"),
+                        pref_dn, wb, "d")
+        return TailBounds(start, lam, target, HPReal._wrap(upper, p_target),
+                          HPReal._wrap(lower, p_target), V)
+
+    return bounds
+
+
+def tail_bounds(start: int, lam, target: Target,
+                p_target: int = DEFAULT_BITS) -> TailBounds:
+    """Certified two-sided bounds on the coefficient tail from `start` up:
+    `tail_table` at cutoff V = max(start, ceil(8*lam)) + ceil(p*ln 2)."""
+    if not isinstance(start, int) or start < 1:
+        raise DomainError("tail start must be a positive integer")
+    lam = _check_lam(lam)
+    V = tail_cutoff(start, lam.to_float(), p_target)
+    return tail_table(V, lam, target, p_target)(start)

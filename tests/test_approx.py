@@ -13,6 +13,7 @@ from expcheb.approx import (
     ConstantName,
     LowerWitness,
     Regime,
+    _shifted_cheb_rows,
     build_series,
     classify_regime,
     coefficient_bit_budget,
@@ -152,12 +153,29 @@ def test_critical_certificate_regression():
 @pytest.mark.parametrize("target,B,delta,degrees", (
     (Target.EXP_NEG, "201.3", "1e-8", (59, 53)),
     (Target.EXP_POS, "101.7", "1e-6", (121, 118)),
+    # D_upper above 8*lam: the tail table must grow past its first cutoff
+    (Target.EXP_NEG, "1", "1e-40", (25, 24)),
+    (Target.EXP_NEG, "1", "1e-90", (49, 47)),
+    (Target.EXP_POS, "2", "1e-100", (61, 59)),
+    # thousands of tail brackets read from one table
+    (Target.EXP_POS, "2000", "1e-3", (2236, 2232)),
 ))
 def test_certify_wide_degrees_pinned(target, B, delta, degrees):
-    # the benchmark's certify-wide domains, pinned so that a change in the
-    # Bessel layer cannot move a certified degree unnoticed
+    # the benchmark's certify-wide domains and the scan's edge cases, pinned
+    # so that a change in the Bessel or tail layer cannot move a certified
+    # degree unnoticed
     cert = find_degree(_spec(target, B, delta))
     assert (cert.D_upper, cert.D_lower) == degrees
+
+
+def test_find_degree_reads_the_tail_bounds_table():
+    # D_upper <= 8*lam, so find_degree's table and tail_bounds(D_upper)
+    # share one cutoff and must agree to the last bit
+    spec = _spec(Target.EXP_NEG, "201.3", "1e-8")
+    cert = find_degree(spec)
+    assert cert.D_upper <= 8 * spec.lam.to_float()
+    tb = tail_bounds(cert.D_upper, spec.lam, spec.target, 128)
+    assert cert.tail_upper_at_D.to_fraction() == tb.upper.to_fraction()
 
 
 def test_degree_monotone_in_domain_width():
@@ -332,6 +350,23 @@ def test_exported_monomial_form_tracks_target():
         fv = (-z).exp()
         assert abs((mv - fv).to_fraction()) \
             <= poly.certified_sup_bound.to_fraction() + Fraction(1, 10 ** 25)
+
+
+def test_shifted_cheb_rows_match_fraction_recurrence():
+    # the integer rows export converts with, evaluated exactly, against
+    # T_j(x) at x = 2u - 1 from the Fraction three-term recurrence
+    rows = list(_shifted_cheb_rows(12))
+    assert [len(r) for r in rows] == list(range(1, 14))
+    for u in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
+              Fraction(-2, 7), Fraction(5, 4)):
+        x = 2 * u - 1
+        prev, cur = Fraction(1), x
+        ref = [prev, cur]
+        for _ in range(11):
+            prev, cur = cur, 2 * x * cur - prev
+            ref.append(cur)
+        got = [sum(c * u ** i for i, c in enumerate(r)) for r in rows]
+        assert got == ref
 
 
 def test_export_rejects_foreign_certificate():

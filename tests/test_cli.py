@@ -379,10 +379,15 @@ def test_env_var_overrides_precision(capsys, monkeypatch):
     v_192 = out_192.strip().splitlines()[1].split(",")[1]
     assert len(v_192) > len(v_def) + 10
     monkeypatch.setenv("EXPCHEB_BITS", "not-a-number")
-    code, out_fallback, _ = _run(capsys, ["coeffs", "--lambda", "1",
-                                          "--count", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--lambda", "1", "--count", "1"])
+    assert exc.value.code == 2
+    # an explicit --precision-bits still wins over a malformed variable
+    code, out_explicit, _ = _run(capsys, ["coeffs", "--lambda", "1",
+                                          "--count", "1",
+                                          "--precision-bits", "128"])
     assert code == 0
-    assert out_fallback == out_def
+    assert out_explicit == out_def
 
 
 def test_version_flag(capsys):

@@ -34,11 +34,16 @@ def _rel(cv_value, reference_mpf, dps=60):
 
 
 def test_bessel_matches_independent_recurrence():
-    for lam in (0.5, 1.0, 5.0, 20.0):
-        for v in (0, 1, 2, 3, 7, 15, 30, 50):
-            ref = oracles.bessel_i(v, lam, dps=60)
-            got = modified_bessel(v, hpf(lam, P), p_target=P)
-            assert _rel(got.value, ref) < 1e-30
+    # lam = 1000.5 is next to the widest problem the tests certify
+    # (B = 2000); its tail table at cutoff 8093 is seeded by v = 8094
+    cases = [(lam, v) for lam in (0.5, 1.0, 5.0, 20.0)
+             for v in (0, 1, 2, 3, 7, 15, 30, 50)]
+    for lam, v in cases + [(1000.5, 0), (1000.5, 8094)]:
+        ref = oracles.bessel_i(v, lam, dps=60)
+        got = modified_bessel(v, hpf(lam, P), p_target=P)
+        assert _rel(got.value, ref) < 1e-30
+        assert got.radius.to_fraction() \
+            <= got.value.to_fraction() / 2 ** P
 
 
 def test_bessel_family_encloses_oracle_at_benchmark_scale():
