@@ -432,10 +432,15 @@ def eval_exported(poly: ExportedPolynomial, z: HPReal,
 
 def eval_monomial(coeffs: Sequence[Fraction], z: HPReal,
                   bits: int) -> HPReal:
+    return _horner([hpf(c, bits) for c in coeffs], z, bits)
+
+
+def _horner(coeffs: Sequence[HPReal], z: HPReal, bits: int) -> HPReal:
+    """Horner's rule at `bits` on coefficients already held as HPReal."""
     zw = z.with_bits(bits)
     acc = hpf(0, bits)
     for c in reversed(coeffs):
-        acc = acc * zw + hpf(c, bits)
+        acc = acc * zw + c
     return acc
 
 
@@ -566,10 +571,11 @@ def _forms_agree(spec: ProblemSpec, series: ChebSeries,
     _, roots = cheb_extrema_and_roots(64, wb)
     half_B = spec.B.with_bits(wb).shifted(-1)
     tol_shift = -40
+    hmono = [hpf(c, wb) for c in mono]
     for x in roots:
         z = half_B * (1 + x)
         cv = eval_cheb_series(series, domain_to_unit(spec, z, wb), wb)
-        mv = eval_monomial(mono, z, wb)
+        mv = _horner(hmono, z, wb)
         scale = max(abs(cv), abs(mv))
         if abs(cv - mv) > scale.shifted(tol_shift):
             return False

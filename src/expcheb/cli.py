@@ -280,6 +280,7 @@ def cmd_kde(args) -> str:
             "certified_sup_bound": _dec(fm.poly.certified_sup_bound, 12),
         },
         "float_error_bound": repr(res.float_error_bound),
+        "float_bound_source": res.float_bound_source,
         "used_high_precision": res.used_high_precision,
         "timings_ms": None if args.no_timings else {
             "build": res.elapsed_build * 1e3,

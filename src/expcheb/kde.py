@@ -47,9 +47,7 @@ With i + k <= d - j and 2j <= j (m+2) the total is
 
 so |v_i - fl(v_i)| <= gamma_N A_i, gamma_N = N u / (1 - N u), where
 A_i = sum_n |w_n| sum |T| is the same feature map applied to |x|, |y| and
-|c_ijk|.  The absolute-value pass computes A_i in the same chunks from
-nonnegative data, so its float value is at least (1 - gamma_N) A_i and
-the reported bound is gamma_N / (1 - gamma_N) max_i fl(A_i).
+|c_ijk|.
 
 Coordinates are centered on the float midrange c of the pooled points,
 x' = fl(x - c), so |x'_l - (x_l - c_l)| <= u r_l with r_l the pooled
@@ -68,11 +66,48 @@ to double-double arithmetic end to end, with the same N counted twice
 at unit 2^-104 = 4u^2: double-double sums (<= 3u^2 operand-wise) and
 products by a double (<= 2u^2) take one unit, products of two
 double-doubles (<= 7u^2, Joldes, Muller and Popescu, TOMS 2017) two.
+
+The precision is chosen before any feature row is built, from two
+O(nm + d) bounds on max_i A_i.  With a_i = ||x'_i||^2, c_n = ||y'_n||^2
+and |c_ijk| = |p_s| s! / (i! j! k!) 2^j for s = i + j + k, summing the
+terms of A_i over beta and over i + j + k = s undoes the factorization
+(multinomial theorem, twice):
+
+    A_i = sum_n |w_n| P_abs(a_i + 2 <|x'_i|, |y'_n|> + c_n),
+    P_abs(t) = sum_k |p_k| t^k,
+
+the same polynomial with its coefficients' absolute values, whose value
+over |p(t)| is the condition number of evaluating p (Higham, 5.1).
+P_abs is nondecreasing on t >= 0 and <|x|, |y|> <= sqrt(a c) by
+Cauchy-Schwarz, so
+
+    A_lo = ||w||_1 P_abs(a_max) <= max_i A_i
+         <= ||w||_1 P_abs(a_max + 2 sqrt(a_max c_max) + c_max) = A_hi.
+
+Both are evaluated exactly in rationals from float inputs rounded
+outward.  A float sum of m squares is within gamma_m of the exact one
+and a float ||w||_1 within gamma_n, so the inputs to A_hi are divided by
+1 - gamma and rounded up, those to A_lo multiplied by 1 - gamma and
+rounded down, and the square root is rounded up.  Then, in plain doubles:
+
+* if gamma_N A_hi + shift_slack meets the budget, that bound is reported
+  and no absolute-value row is built;
+* if not, and the bound a measured pass would report from A_lo misses
+  the budget, plain doubles certainly fail: any float max_i A_i is at
+  least (1 - gamma_N) A_lo, and rounding is monotone.  The matvec goes
+  straight to double-double without building a plain row;
+* otherwise the absolute-value pass computes A_i in the plain chunks
+  from nonnegative data, so its float value is at least (1 - gamma_N) A_i
+  and the bound is gamma_N / (1 - gamma_N) max_i fl(A_i).
+
+The double-double path applies the first and last rules with gamma_2N at
+its unit; the absolute-value pass runs in plain doubles at most once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -144,11 +179,13 @@ class FeatureMap:
 class KdeResult:
     """Output of kde_matvec.
 
-    On the plain path `elapsed_build` is the time spent building feature
-    rows (values and absolute values) and `elapsed_matvec` the rest of
-    the streamed passes.  After an escalation `elapsed_build` is the
-    whole discarded plain attempt and `elapsed_matvec` the double-double
-    pass.
+    `elapsed_build` is the plain-double work outside the value products:
+    building the plain feature rows, plus the absolute-value pass when the
+    a priori bound misses the budget.  It is 0 when the double-double path
+    is chosen from the a priori bounds alone.  `elapsed_matvec` is the
+    rest: the bounds, the plain BLAS products or the double-double pass.
+    `float_bound_source` says which bound certified the run: "a-priori"
+    (the O(nm + d) bound A_hi) or "measured" (the absolute-value pass).
     """
     v: np.ndarray
     M: int                         # feature rank R
@@ -158,6 +195,7 @@ class KdeResult:
     B_used: Fraction
     float_error_bound: float       # certified per-entry bound / ||w||_1
     used_high_precision: bool
+    float_bound_source: str        # "a-priori" or "measured"
     diameter_violation: float | None = None
 
 
@@ -567,7 +605,8 @@ def _y_rows_dd(P: np.ndarray, fm: FeatureMap, tables):
 # the matvec
 
 
-def _gamma(k: int, unit: float) -> float:
+def _gamma(k: int, unit):
+    """gamma_k = k u / (1 - k u); exact when `unit` is a Fraction."""
     return k * unit / (1 - k * unit)
 
 
@@ -576,13 +615,69 @@ def gamma_ops(n: int, fm: FeatureMap) -> int:
     return n + fm.rank + fm.d * (fm.m + 2) + 8
 
 
+def _round_up(q: Fraction) -> float:
+    """Least double >= q (inf past the double range)."""
+    try:
+        f = float(q)
+    except OverflowError:
+        return math.inf
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def _round_down(q: Fraction) -> float:
+    """Greatest double <= q, for q >= 0."""
+    try:
+        f = float(q)
+    except OverflowError:
+        return sys.float_info.max
+    return f if Fraction(f) <= q else math.nextafter(f, 0.0)
+
+
+def _abs_sum_bounds(Xp: np.ndarray, Yp: np.ndarray, w: np.ndarray,
+                    fm: FeatureMap) -> tuple[Fraction, Fraction]:
+    """(A_lo, A_hi) with A_lo <= max_i A_i <= A_hi, in O(nm + d), from the
+    centered coordinates Xp, Yp (module docstring)."""
+    u = Fraction(_EPS)
+    p_abs = [abs(c) for c in fm.poly.monomial_form]
+
+    def P_abs(t: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(p_abs):
+            acc = acc * t + c
+        return acc
+
+    def norm_sq_max(P: np.ndarray) -> tuple[float, float]:
+        fl = float((P * P).sum(axis=1).max())
+        g = _gamma(P.shape[1], u)
+        hi = _round_up(Fraction(fl) / (1 - g)) if math.isfinite(fl) \
+            else math.inf
+        if hi == math.inf:
+            raise DomainError("squared norms of the centered coordinates "
+                              "overflow double precision")
+        return _round_down(Fraction(fl) * (1 - g)), hi
+
+    a_lo, a_hi = norm_sq_max(Xp)
+    _, c_hi = norm_sq_max(Yp)
+    s = math.sqrt(a_hi) * math.sqrt(c_hi)
+    while Fraction(s) ** 2 < Fraction(a_hi) * Fraction(c_hi):
+        s = math.nextafter(s, math.inf)
+    w_fl = Fraction(float(np.abs(w).sum()))
+    g = _gamma(w.shape[0], u)
+    t_hi = Fraction(a_hi) + 2 * Fraction(s) + Fraction(c_hi)
+    return (w_fl * (1 - g) * P_abs(Fraction(a_lo)),
+            w_fl / (1 - g) * P_abs(t_hi))
+
+
 def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
                validate_diameter: bool = False) -> KdeResult:
     """v = Xmat @ (Ymat.T @ w) with a certified floating-point budget.
 
-    Rows are streamed in chunks whose boundaries depend only on n and
-    the rank, and partial reductions are merged in chunk order, so the
-    result is bitwise reproducible.
+    The precision is chosen before any value row is built, from the a
+    priori bounds on max_i A_i and, only when those leave it open, from
+    the absolute-value pass (module docstring).  Rows are streamed in
+    chunks whose boundaries depend only on n and the rank, and partial
+    reductions are merged in chunk order, so the result is bitwise
+    reproducible.
 
     `force` is None (auto), "plain" (stay in double precision; raises
     SoundnessError if the budget check fails), or "high" (always use the
@@ -604,8 +699,8 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
                 stacklevel=2)
 
     center = _midrange(inst)
-    if not (np.isfinite(inst.X - center).all()
-            and np.isfinite(inst.Y - center).all()):
+    Xp, Yp = inst.X - center, inst.Y - center
+    if not (np.isfinite(Xp).all() and np.isfinite(Yp).all()):
         raise DomainError("non-finite input coordinate")
     # the polynomial consumed delta/2; floats get the other half, minus
     # the centering allowance
@@ -614,110 +709,116 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
     N = gamma_ops(n, fm)
     abs_scale = 1.0 / (1.0 - _gamma(N, _EPS))
 
-    build_elapsed = 0.0
+    t0 = time.perf_counter()
+    A_lo, A_hi = _abs_sum_bounds(Xp, Yp, inst.w, fm)
+    abs_max = None   # max_i fl(A_i), measured at most once
+    build_s = 0.0
+
+    def float_bound(k: int, unit: float) -> tuple[float, str]:
+        nonlocal abs_max, build_s
+        prior = _round_up(_gamma(k, Fraction(unit)) * A_hi
+                          + Fraction(shift_slack))
+        if prior <= budget:
+            return prior, "a-priori"
+        if abs_max is None:
+            t = time.perf_counter()
+            abs_max = _abs_pass(inst, fm, center)
+            build_s += time.perf_counter() - t
+        return _gamma(k, unit) * abs_max * abs_scale + shift_slack, "measured"
+
     use_high = force == "high"
     if not use_high:
-        t0 = time.perf_counter()
-        v, abs_max, feat_s = _matvec_plain(inst, fm, center)
-        plain_s = time.perf_counter() - t0
-        bound = _gamma(N, _EPS) * abs_max * abs_scale + shift_slack
-        build_elapsed, matvec_elapsed = feat_s, max(plain_s - feat_s, 0.0)
+        # any measured max_i fl(A_i) is at least (1 - gamma_N) A_lo, and
+        # rounding is monotone, so a measured plain bound is >= floor
+        fl_lo = _round_down((1 - _gamma(N, Fraction(_EPS))) * A_lo)
+        floor = _gamma(N, _EPS) * fl_lo * abs_scale + shift_slack
+        bound, source = ((floor, "a-priori") if floor > budget
+                         else float_bound(N, _EPS))
         if bound > budget:
             if force == "plain":
                 raise SoundnessError(
                     f"double-precision error bound {bound:g} exceeds "
                     f"the budget {budget:g}; drop force='plain'")
             use_high = True
-            build_elapsed = plain_s
     if use_high:
-        t1 = time.perf_counter()
-        v, abs_max = _matvec_dd(inst, fm, center)
-        matvec_elapsed = time.perf_counter() - t1
-        bound = _gamma(2 * N, _EPS_DD) * abs_max * abs_scale + shift_slack
+        bound, source = float_bound(2 * N, _EPS_DD)
         if bound > budget:
             raise SoundnessError(
                 f"even the high-precision error bound {bound:g} exceeds "
                 f"the budget {budget:g}")
+        v = _matvec_dd(inst, fm, center)
+    else:
+        v, feat_s = _matvec_plain(inst, fm, center)
+        build_s += feat_s
 
     rel_bound = bound / w_norm if w_norm > 0 else 0.0
-    return KdeResult(v=v, M=fm.rank, elapsed_build=build_elapsed,
-                     elapsed_matvec=matvec_elapsed, degree=fm.d,
-                     B_used=inst.B, float_error_bound=rel_bound,
+    return KdeResult(v=v, M=fm.rank, elapsed_build=build_s,
+                     elapsed_matvec=time.perf_counter() - t0 - build_s,
+                     degree=fm.d, B_used=inst.B, float_error_bound=rel_bound,
                      used_high_precision=use_high,
+                     float_bound_source=source,
                      diameter_violation=violation)
 
 
-def _matvec_plain(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
-                  ) -> tuple[np.ndarray, float, float]:
-    """Streamed BLAS passes with the absolute-value pass fused in.
-
-    Returns v, max_i fl(A_i) and the time spent building feature rows.
-    """
-    w = inst.w
-    aw = np.abs(w)
-    empty = slice(0, 0)
-
-    def reduce(rows):
-        t = time.perf_counter()
-        _, Yc = build_feature_matrices(inst, fm, center, empty, rows)
+def _abs_pass(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
+              ) -> float:
+    """max_i fl(A_i): the feature map on |x'|, |y'| and |c_ijk| in plain
+    doubles, streamed in the plain path's chunks."""
+    aw = np.abs(inst.w)
+    chunks = _chunks(inst.n, fm.rank, _CHUNK_BYTES)
+    sabs = np.zeros(fm.rank)
+    for rows in chunks:
         Ya = _y_rows(np.abs(inst.Y[rows] - center), fm, absolute=True)
-        t = time.perf_counter() - t
-        return Yc.T @ w[rows], Ya.T @ aw[rows], t
+        sabs += Ya.T @ aw[rows]
+    return max(float((_x_rows(np.abs(inst.X[rows] - center), fm)
+                       @ sabs).max()) for rows in chunks)
 
-    def output(rows):
-        t = time.perf_counter()
-        Xc, _ = build_feature_matrices(inst, fm, center, rows, empty)
-        t = time.perf_counter() - t
-        v = Xc @ svec
-        return v, np.abs(Xc, out=Xc) @ sabs, t
 
+def _matvec_plain(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
+                  ) -> tuple[np.ndarray, float]:
+    """Streamed BLAS passes; returns v and the time spent building
+    feature rows."""
+    empty = slice(0, 0)
     chunks = _chunks(inst.n, fm.rank, _CHUNK_BYTES)
     svec = np.zeros(fm.rank)
-    sabs = np.zeros(fm.rank)
     feat_s = 0.0
-    for ps, pa, t in map(reduce, chunks):
-        svec += ps
-        sabs += pa
-        feat_s += t
-    outs = list(map(output, chunks))
-    v = np.concatenate([o[0] for o in outs])
-    abs_max = max(float(o[1].max()) for o in outs)
-    return v, abs_max, feat_s + sum(o[2] for o in outs)
+    for rows in chunks:
+        t = time.perf_counter()
+        _, Yc = build_feature_matrices(inst, fm, center, empty, rows)
+        feat_s += time.perf_counter() - t
+        svec += Yc.T @ inst.w[rows]
+    parts = []
+    for rows in chunks:
+        t = time.perf_counter()
+        Xc, _ = build_feature_matrices(inst, fm, center, rows, empty)
+        feat_s += time.perf_counter() - t
+        parts.append(Xc @ svec)
+    return np.concatenate(parts), feat_s
 
 
 def _matvec_dd(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
-               ) -> tuple[np.ndarray, float]:
-    """Double-double end to end over streamed chunks of feature rows;
-    the absolute-value pass runs in plain doubles alongside."""
+               ) -> np.ndarray:
+    """Double-double end to end over streamed chunks of feature rows."""
     w = inst.w
-    aw = np.abs(w)
     tables = _dd_tables(fm)
 
     def reduce(rows):
-        Yp = inst.Y[rows] - center
-        yh, yl = _y_rows_dd(Yp, fm, tables)
+        yh, yl = _y_rows_dd(inst.Y[rows] - center, fm, tables)
         th, tl = _dd_mul(yh, yl, w[rows, None], 0.0)
-        ph, pl = _dd_sum_tree(th, tl)
-        Ya = _y_rows(np.abs(Yp), fm, absolute=True)
-        return ph, pl, Ya.T @ aw[rows]
+        return _dd_sum_tree(th, tl)
 
     def output(rows):
         xh, xl = _x_rows_dd(inst.X[rows] - center, fm, tables)
         th, tl = _dd_mul(xh, xl, sh, sl)
         vh, vl = _dd_sum_tree(th.T, tl.T)
-        return vh + vl, np.abs(xh) @ sabs
+        return vh + vl
 
     chunks = _chunks(inst.n, fm.rank, _DD_CHUNK_BYTES)
     sh = np.zeros(fm.rank)
     sl = np.zeros(fm.rank)
-    sabs = np.zeros(fm.rank)
-    for ph, pl, pa in map(reduce, chunks):
+    for ph, pl in map(reduce, chunks):
         sh, sl = _dd_add(sh, sl, ph, pl)
-        sabs += pa
-    outs = list(map(output, chunks))
-    v = np.concatenate([o[0] for o in outs])
-    abs_max = max(float(o[1].max()) for o in outs)
-    return v, abs_max
+    return np.concatenate([output(rows) for rows in chunks])
 
 
 def kde_bruteforce(inst: KdeInstance, chunk: int = 256) -> np.ndarray:

@@ -235,6 +235,7 @@ def test_kde_matches_solve_bitwise(tmp_path, capsys, monkeypatch, doc,
     assert (got["degree"], got["M"], got["certificate"]["D_lower"]) \
         == (res.degree, res.M, cert.D_lower)
     assert got["used_high_precision"] is res.used_high_precision is escalates
+    assert got["float_bound_source"] == res.float_bound_source
     assert got["v"] == [repr(float(x)) for x in res.v]
 
 

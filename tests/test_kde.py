@@ -1,5 +1,6 @@
 """Batch Gaussian KDE through certified low-rank kernel expansion."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from expcheb.coeffs import CoeffValue, Target
 from expcheb.approx import ChebSeries
 from expcheb.errors import CapacityError, DomainError, SoundnessError
 from expcheb.hp import hpf
+import expcheb.kde as kde_mod
 from expcheb.kde import (
     cost_model,
     build_feature_matrices,
@@ -24,14 +26,24 @@ from expcheb.kde import (
     estimate_diameter_sq,
     expand_kernel_poly,
     feature_count,
+    gamma_ops,
     kde_bruteforce,
     kde_matvec,
+    kernel_map,
     make_instance,
     measured_diameter_sq,
     reconstruct_feature_value,
     solve,
 )
-from expcheb.kde import _two_prod, _two_sum
+from expcheb.kde import (
+    _EPS,
+    _abs_pass,
+    _abs_sum_bounds,
+    _gamma,
+    _midrange,
+    _two_prod,
+    _two_sum,
+)
 
 
 def _synthetic_poly(mono):
@@ -299,6 +311,7 @@ def test_reference_dimension_stays_plain():
     res = solve(inst)
     assert res.M == math.comb(18, 9) and res.degree == 9
     assert not res.used_high_precision
+    assert res.float_bound_source == "a-priori"
     assert res.float_error_bound <= 1e-3 / 2
     brute = kde_bruteforce(inst)
     assert float(np.abs(res.v - brute).max()) <= 1e-3 * float(w.sum())
@@ -393,6 +406,162 @@ def test_force_high_on_easy_instance():
     assert not easy.used_high_precision
     with pytest.raises(DomainError):
         solve(inst, force="fast")
+
+
+# ---------------------------------------------------------------------------
+# a priori bounds on max_i A_i
+
+
+def _centered(inst):
+    center = _midrange(inst)
+    return inst.X - center, inst.Y - center
+
+
+def _exact_abs_sum_max(inst, fm):
+    """max_i A_i in exact rationals from |p_k|, |x'_i| and |y'_n|."""
+    Xp, Yp = _centered(inst)
+    xs = [[abs(Fraction(float(v))) for v in row] for row in Xp]
+    ys = [[abs(Fraction(float(v))) for v in row] for row in Yp]
+    p_abs = [abs(c) for c in fm.poly.monomial_form]
+
+    def P_abs(t):
+        return sum(c * t ** k for k, c in enumerate(p_abs))
+    return max(sum(abs(Fraction(float(wn))) * P_abs(
+        sum(v * v for v in x) + 2 * sum(p * q for p, q in zip(x, y))
+        + sum(q * q for q in y)) for y, wn in zip(ys, inst.w)) for x in xs)
+
+
+def test_abs_sum_identity_matches_feature_map():
+    # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is P_abs(a + 2<|x|,|y|> + c)
+    spec = problem(Target.EXP_NEG, 4, "1e-3")
+    fm = expand_kernel_poly(export_polynomial(spec, find_degree(spec)), 3)
+    fm_abs = dataclasses.replace(fm, coef=np.abs(fm.coef))
+    p_abs = [abs(c) for c in fm.poly.monomial_form]
+    x = [Fraction(-3, 8), Fraction(5, 4), Fraction(1, 16)]
+    y = [Fraction(7, 8), Fraction(-1, 2), Fraction(-9, 4)]
+    ax, ay = [abs(v) for v in x], [abs(v) for v in y]
+    t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
+         + sum(q * q for q in ay))
+    want = sum(c * t ** k for k, c in enumerate(p_abs))
+    assert reconstruct_feature_value(fm_abs, ax, ay) == want
+
+
+# eight dyadic coordinates whose float sum of squares rounds below the
+# exact one, by 2.3 units in the last place
+_ROUNDS_DOWN = np.array([[564775602, 740408105, 731587927, 918716543,
+                          812281940, 775146950, 750651847, 915669005]]
+                        ) / 2.0 ** 30
+
+
+def _bound_cases():
+    rng = np.random.default_rng(77)
+    spec = problem(Target.EXP_NEG, 9, "1e-6")
+    poly = export_polynomial(spec, find_degree(spec))
+    power = _synthetic_poly([0] * 8 + [1])     # p(t) = t^8
+    # far from the origin: centering moves these dyadic points exactly
+    far = (1000 + rng.integers(-16, 17, (7, 2)) / 8,
+           1000 + rng.integers(-16, 17, (7, 2)) / 8,
+           rng.integers(-8, 9, 7) / 8)
+    # heavy cancellation in the weights
+    cancel = (rng.integers(-8, 9, (6, 2)) / 16,
+              rng.integers(-8, 9, (6, 2)) / 16,
+              np.array([1.0, -1.0, 1.0 + 2.0 ** -40, -1.0 + 2.0 ** -52,
+                        2.0 ** -30, -1.0]))
+    # n = 1 with y = -x: Cauchy-Schwarz is tight, so A_hi has no slack but
+    # the outward rounding
+    single = (_ROUNDS_DOWN, -_ROUNDS_DOWN, np.array([-0.75]))
+    # criterion 08's shape, m = 8, at a small n
+    wide = (rng.integers(-8, 9, (5, 8)) / 16,
+            rng.integers(-8, 9, (5, 8)) / 16,
+            rng.integers(-8, 9, 5) / 8)
+    for X, Y, w in (far, cancel, single, wide):
+        for p in (poly, power):
+            yield (make_instance(X, Y, w, "1e-3", B=9),
+                   expand_kernel_poly(p, X.shape[1]))
+
+
+def test_a_priori_bounds_enclose_exact_abs_sum():
+    for inst, fm in _bound_cases():
+        A_lo, A_hi = _abs_sum_bounds(*_centered(inst), inst.w, fm)
+        exact = _exact_abs_sum_max(inst, fm)
+        assert A_lo <= exact <= A_hi
+    # the single-row case rests on the upward rounding of the squared norm
+    a_fl = float((_ROUNDS_DOWN * _ROUNDS_DOWN).sum(axis=1).max())
+    assert Fraction(a_fl) < sum(Fraction(float(v)) ** 2
+                                for v in _ROUNDS_DOWN[0])
+
+
+def _lowdim_instance(n=4096, seed=1):
+    # the kde-lowdim shape: m = 2, uniform box of side sqrt(2), delta 1e-3
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, math.sqrt(2), (n, 2))
+    Y = rng.uniform(0.0, math.sqrt(2), (n, 2))
+    return make_instance(X, Y, rng.standard_normal(n), "1e-3")
+
+
+def _escalate_instance(n=1024, seed=1):
+    # the kde-escalate shape: m = 1, side 4 (B ~ 16), delta 1e-12
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 4.0, (n, 1))
+    Y = rng.uniform(0.0, 4.0, (n, 1))
+    return make_instance(X, Y, rng.standard_normal(n), "1e-12")
+
+
+def test_lower_bound_below_measured_abs_sum():
+    for inst in (_tight_instance(), _escalate_instance()):
+        _, fm = kernel_map(inst.m, inst.B, inst.delta)
+        A_lo, _ = _abs_sum_bounds(*_centered(inst), inst.w, fm)
+        abs_scale = 1.0 / (1.0 - _gamma(gamma_ops(inst.n, fm), _EPS))
+        measured = _abs_pass(inst, fm, _midrange(inst)) * abs_scale
+        assert A_lo <= Fraction(measured)
+
+
+def _spy_rows(monkeypatch):
+    calls = []
+    for name in ("_x_rows", "_y_rows", "build_feature_matrices"):
+        real = getattr(kde_mod, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, kwargs.get("absolute", False)))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(kde_mod, name, spy)
+    return calls
+
+
+def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
+    calls = _spy_rows(monkeypatch)
+    res = solve(_lowdim_instance())
+    assert not res.used_high_precision
+    assert res.float_bound_source == "a-priori"
+    assert calls and ("_y_rows", True) not in calls
+
+
+def test_escalate_shape_builds_no_plain_rows(monkeypatch):
+    inst = _escalate_instance()
+    _, fm = kernel_map(inst.m, inst.B, inst.delta)
+    calls = _spy_rows(monkeypatch)
+    res = kde_matvec(inst, fm)
+    assert res.used_high_precision
+    assert res.float_bound_source == "a-priori"
+    assert calls == [] and res.elapsed_build == 0
+    assert res.float_error_bound <= 1e-12 / 2
+
+
+def test_a_priori_paths_match_the_measured_path(monkeypatch):
+    # with bounds that decide nothing, the absolute-value pass picks the
+    # precision; v and the precision must not depend on which bound did
+    cases = [(_lowdim_instance(), False), (_escalate_instance(), True)]
+    fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
+    fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
+    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
+                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    for (inst, high), fm, a in zip(cases, fms, fast):
+        b = kde_matvec(inst, fm)
+        assert a.float_bound_source == "a-priori"
+        assert b.float_bound_source == "measured"
+        assert a.used_high_precision is b.used_high_precision is high
+        assert a.v.tobytes() == b.v.tobytes()
+        assert b.float_error_bound <= a.float_error_bound
 
 
 def test_diameter_validation_warns_and_reports():
