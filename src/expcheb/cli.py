@@ -397,21 +397,22 @@ def cmd_bench(args) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-bits", type=int,
-                        default=os.environ.get(DEFAULT_BITS_ENV, "128"),
-                        dest="precision_bits",
-                        help="working precision in bits (default 128, or "
-                             f"${DEFAULT_BITS_ENV})")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default=None, dest="output_format",
-                        help="output format (default depends on subcommand)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
-    common.add_argument("--no-timings", action="store_true",
-                        dest="no_timings",
-                        help="zero out wall-clock fields for byte-stable "
-                             "output")
+    bits = argparse.ArgumentParser(add_help=False)
+    bits.add_argument("--precision-bits", type=int,
+                      default=os.environ.get(DEFAULT_BITS_ENV, "128"),
+                      dest="precision_bits",
+                      help="working precision in bits (default 128, or "
+                           f"${DEFAULT_BITS_ENV})")
+    timings = argparse.ArgumentParser(add_help=False)
+    timings.add_argument("--no-timings", action="store_true",
+                         dest="no_timings",
+                         help="zero out wall-clock fields for byte-stable "
+                              "output")
+
+    def output_format(p, default: str) -> None:
+        p.add_argument("--format", choices=("json", "csv", "text"),
+                       default=default, dest="output_format",
+                       help=f"output format (default {default})")
 
     parser = argparse.ArgumentParser(
         prog="expcheb",
@@ -421,15 +422,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("degree", parents=[common],
+    p = subs.add_parser("degree", parents=[bits],
                         help="degree certificate plus regime prediction")
     p.add_argument("--B", required=True, help="domain width (decimal text)")
     p.add_argument("--delta", required=True, help="uniform tolerance")
     p.add_argument("--target", default="exp-neg",
                    choices=("exp-neg", "exp-pos"))
-    p.set_defaults(func=cmd_degree, default_format="json")
+    output_format(p, "json")
+    p.set_defaults(func=cmd_degree)
 
-    p = subs.add_parser("coeffs", parents=[common],
+    p = subs.add_parser("coeffs", parents=[bits],
                         help="certified series coefficients as CSV")
     p.add_argument("--lambda", required=True, dest="lam",
                    help="coefficient scale (= B/2), at least 1/2")
@@ -437,25 +439,27 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("exp-neg", "exp-pos"))
     p.add_argument("--count", type=int, required=True,
                    help="number of orders, starting at v = 0")
-    p.set_defaults(func=cmd_coeffs, default_format="csv")
+    output_format(p, "csv")
+    p.set_defaults(func=cmd_coeffs)
 
-    p = subs.add_parser("build", parents=[common],
+    p = subs.add_parser("build", parents=[bits],
                         help="export a certified polynomial document")
     p.add_argument("--B", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--target", default="exp-neg",
                    choices=("exp-neg", "exp-pos"))
     p.add_argument("--out", default=None, help="write to file, not stdout")
-    p.set_defaults(func=cmd_build, default_format="json")
+    p.set_defaults(func=cmd_build)
 
-    p = subs.add_parser("eval", parents=[common],
+    p = subs.add_parser("eval",
                         help="evaluate an exported polynomial at points")
     p.add_argument("--poly", required=True, help="polynomial document file")
     p.add_argument("--points", required=True,
                    help="file of evaluation points, one per line")
-    p.set_defaults(func=cmd_eval, default_format="csv")
+    output_format(p, "csv")
+    p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("kde", parents=[common],
+    p = subs.add_parser("kde", parents=[bits, timings],
                         help="batch Gaussian KDE via feature expansion")
     p.add_argument("--instance", default=None,
                    help="instance JSON {n, m, x, y, w, delta, B?}")
@@ -474,9 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exactly check the squared-diameter bound (O(n^2 m))")
     p.add_argument("--max-columns", type=int, default=2_000_000,
                    dest="max_columns")
-    p.set_defaults(func=cmd_kde, default_format="json")
+    p.set_defaults(func=cmd_kde)
 
-    p = subs.add_parser("regimes", parents=[common],
+    p = subs.add_parser("regimes", parents=[bits],
                         help="sweep (B, delta): predicted vs certified")
     p.add_argument("--B", required=True, dest="Bs",
                    help="comma-separated B values")
@@ -487,9 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predict-only", action="store_true",
                    dest="predict_only",
                    help="skip certificates (fast, prediction columns only)")
-    p.set_defaults(func=cmd_regimes, default_format="csv")
+    p.set_defaults(func=cmd_regimes)
 
-    p = subs.add_parser("bench", parents=[common],
+    p = subs.add_parser("bench", parents=[bits, timings],
                         help="timing sweep: feature matvec vs brute force")
     p.add_argument("--n", required=True, dest="ns",
                    help="comma-separated instance sizes")
@@ -500,15 +504,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="repetitions per size; the minimum is reported")
     p.add_argument("--max-columns", type=int, default=2_000_000,
                    dest="max_columns")
-    p.set_defaults(func=cmd_bench, default_format="csv")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random instances (default 0)")
+    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.output_format is None:
-        args.output_format = args.default_format
     try:
         out = args.func(args)
     except CapacityError as exc:

@@ -49,8 +49,10 @@ so |v_i - fl(v_i)| <= gamma_N A_i, gamma_N = N u / (1 - N u), where
 A_i = sum_n |w_n| sum |T| is the same feature map applied to |x|, |y| and
 |c_ijk|.
 
-Coordinates are centered on the float midrange c of the pooled points,
-x' = fl(x - c), so |x'_l - (x_l - c_l)| <= u r_l with r_l the pooled
+kde_matvec centers the instance once, on the float midrange c of the
+pooled points, and hands the centered instance to every pass; the
+Gaussian kernel is translation-invariant, so it is the same problem.
+x' = fl(x - c) has |x'_l - (x_l - c_l)| <= u r_l with r_l the pooled
 range of coordinate l.  With s_l = x_l - y_l and s'_l = x'_l - y'_l,
 |s'_l^2 - s_l^2| <= 2u r_l^2 (1 + 4u), and r_l^2 <= 4B because any two
 pooled points are within 2 sqrt(B) through a third.  p is evaluated at
@@ -59,7 +61,10 @@ t >= 0, so each kernel value moves by at most
 
     sum_l |s'_l^2 - s_l^2| <= 8 m B u (1 + 4u),          (shift_slack)
 
-charged times ||w||_1 (for t' <= B, where p is certified).
+charged times ||w||_1 (for t' <= B, where p is certified).  The float
+budget delta/2 ||w||_1 is rounded down, and shift_slack and
+float_error_bound up, each from a float ||w||_1 within a factor 1 +- u
+of the exact one.
 
 When plain double precision cannot meet the budget the matvec escalates
 to double-double arithmetic end to end, with the same N counted twice
@@ -88,20 +93,19 @@ Both are evaluated exactly in rationals from float inputs rounded
 outward.  A float sum of m squares is within gamma_m of the exact one
 and a float ||w||_1 within gamma_n, so the inputs to A_hi are divided by
 1 - gamma and rounded up, those to A_lo multiplied by 1 - gamma and
-rounded down, and the square root is rounded up.  Then, in plain doubles:
+rounded down, and the square root is rounded up.  The measured pass is
+the plain matvec of the majorant (|x'|, |y'|, |w|, |Horner coefficients|
+and |pair scales|), so it sums nonnegative data: its float max_i A_i is
+at least (1 - gamma_N) max_i A_i, and gamma_N / (1 - gamma_N) times it
+bounds the error.
 
-* if gamma_N A_hi + shift_slack meets the budget, that bound is reported
-  and no absolute-value row is built;
-* if not, and the bound a measured pass would report from A_lo misses
-  the budget, plain doubles certainly fail: any float max_i A_i is at
-  least (1 - gamma_N) A_lo, and rounding is monotone.  The matvec goes
-  straight to double-double without building a plain row;
-* otherwise the absolute-value pass computes A_i in the plain chunks
-  from nonnegative data, so its float value is at least (1 - gamma_N) A_i
-  and the bound is gamma_N / (1 - gamma_N) max_i fl(A_i).
-
-The double-double path applies the first and last rules with gamma_2N at
-its unit; the absolute-value pass runs in plain doubles at most once.
+The precision is one ladder over the rungs `force` allows, plain doubles
+(gamma_N at unit u) and then double-double (gamma_2N at unit 2^-104).
+A rung takes the bound from A_hi when that meets the budget.  It fails
+without a pass when the bound a measured pass would report from A_lo
+misses the budget (rounding is monotone).  Otherwise the measured pass,
+run at most once per call, decides it.  SoundnessError ends a ladder
+whose last rung fails.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -413,27 +417,22 @@ def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     return out
 
 
-def _y_rows(P: np.ndarray, fm: FeatureMap, absolute: bool = False
-            ) -> np.ndarray:
-    """Ymat rows: y^beta h_ij(c).  With `absolute`, P should be |y| and
-    the rows use |c_ijk|: the majorant the float bound is driven by."""
+def _y_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
+    """Ymat rows: y^beta h_ij(c)."""
     mono = _monomial_rows(P, fm)
     c = (P * P).sum(axis=1)[:, None]
-    horner = np.abs(fm.horner) if absolute else fm.horner
-    scale = np.abs(fm.pair_scale) if absolute else fm.pair_scale
     g = np.zeros((P.shape[0], fm.d + 1))
     for k in range(fm.d, -1, -1):
         g *= c
-        g += horner[:, k]
+        g += fm.horner[:, k]
     out = np.empty((P.shape[0], fm.rank))
     for j, sl, view in _level_blocks(fm, out):
-        h = g[:, j:] * scale[j, :fm.d - j + 1]
+        h = g[:, j:] * fm.pair_scale[j, :fm.d - j + 1]
         np.multiply(mono[:, None, sl], h[:, :, None], out=view)
     return out
 
 
 def build_feature_matrices(inst: KdeInstance, fm: FeatureMap,
-                           center: np.ndarray | None = None,
                            x_rows: slice = slice(None),
                            y_rows: slice = slice(None)
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -441,18 +440,14 @@ def build_feature_matrices(inst: KdeInstance, fm: FeatureMap,
 
     Row i of Xmat holds (j! / beta!) a^i x^beta and row j of Ymat holds
     y^beta h_ij(c) over the columns r = (j, i, beta), so
-    K[x_rows, y_rows] ~ Xmat @ Ymat.T.  Coordinates are taken relative
-    to `center` when given.
+    K[x_rows, y_rows] ~ Xmat @ Ymat.T.
     """
-    Xp = inst.X[x_rows] if center is None else inst.X[x_rows] - center
-    Yp = inst.Y[y_rows] if center is None else inst.Y[y_rows] - center
+    Xp, Yp = inst.X[x_rows], inst.Y[y_rows]
     bytes_needed = (Xp.shape[0] + Yp.shape[0]) * fm.rank * 8
     if bytes_needed > MAX_MATRIX_BYTES:
         raise CapacityError(
             f"feature matrices need {bytes_needed} bytes "
             f"(limit {MAX_MATRIX_BYTES})")
-    if not (np.isfinite(Xp).all() and np.isfinite(Yp).all()):
-        raise DomainError("non-finite input coordinate")
     return _x_rows(Xp, fm), _y_rows(Yp, fm)
 
 
@@ -510,16 +505,16 @@ def _dd_mul(hi1, lo1, hi2, lo2):
 
 
 def _dd_sum_tree(hi: np.ndarray, lo: np.ndarray):
-    """Pairwise double-double sum over axis 0."""
-    while hi.shape[0] > 1:
-        k = hi.shape[0]
+    """Pairwise double-double sum over axis 0, in place: at each level the
+    first half of the rows absorbs the second, and an odd count carries
+    its middle row up unchanged.  Overwrites hi and lo."""
+    k = hi.shape[0]
+    while k > 1:
         half = (k + 1) // 2
         pairs = k - half
-        h2 = hi[:half].copy()
-        l2 = lo[:half].copy()
-        h2[:pairs], l2[:pairs] = _dd_add(hi[:pairs], lo[:pairs],
-                                         hi[half:], lo[half:])
-        hi, lo = h2, l2
+        hi[:pairs], lo[:pairs] = _dd_add(hi[:pairs], lo[:pairs],
+                                         hi[half:k], lo[half:k])
+        k = half
     return hi[0], lo[0]
 
 
@@ -668,16 +663,26 @@ def _abs_sum_bounds(Xp: np.ndarray, Yp: np.ndarray, w: np.ndarray,
             w_fl / (1 - g) * P_abs(t_hi))
 
 
+def _budget(inst: KdeInstance) -> tuple[float, float, Fraction]:
+    """(budget, shift_slack, w_lo): the float half of delta times ||w||_1
+    rounded down, the centering allowance 8 m B u (1 + 4u) ||w||_1 rounded
+    up, and a lower bound on ||w||_1.  math.fsum rounds the exact ||w||_1
+    to nearest, so it is within a factor 1 +- u of it."""
+    u = Fraction(_EPS)
+    w_fl = Fraction(math.fsum(np.abs(inst.w).tolist()))
+    return (_round_down(inst.delta / 2 * (1 - u) * w_fl),
+            _round_up(8 * inst.m * inst.B * u * (1 + 4 * u) * (1 + u) * w_fl),
+            (1 - u) * w_fl)
+
+
 def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
                validate_diameter: bool = False) -> KdeResult:
     """v = Xmat @ (Ymat.T @ w) with a certified floating-point budget.
 
-    The precision is chosen before any value row is built, from the a
-    priori bounds on max_i A_i and, only when those leave it open, from
-    the absolute-value pass (module docstring).  Rows are streamed in
-    chunks whose boundaries depend only on n and the rank, and partial
-    reductions are merged in chunk order, so the result is bitwise
-    reproducible.
+    The precision is chosen before any value row is built, by the ladder
+    of the module docstring.  Rows are streamed in chunks whose boundaries
+    depend only on n and the rank, and partial reductions are merged in
+    chunk order, so the result is bitwise reproducible.
 
     `force` is None (auto), "plain" (stay in double precision; raises
     SoundnessError if the budget check fails), or "high" (always use the
@@ -685,8 +690,6 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
     """
     if force not in (None, "plain", "high"):
         raise DomainError("force must be None, 'plain', or 'high'")
-    n, m = inst.n, inst.m
-    w_norm = float(np.abs(inst.w).sum())
 
     violation = None
     if validate_diameter:
@@ -699,59 +702,48 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
                 stacklevel=2)
 
     center = _midrange(inst)
-    Xp, Yp = inst.X - center, inst.Y - center
-    if not (np.isfinite(Xp).all() and np.isfinite(Yp).all()):
+    inst = replace(inst, X=inst.X - center, Y=inst.Y - center)
+    if not (np.isfinite(inst.X).all() and np.isfinite(inst.Y).all()):
         raise DomainError("non-finite input coordinate")
-    # the polynomial consumed delta/2; floats get the other half, minus
-    # the centering allowance
-    budget = float(inst.delta) / 2 * w_norm
-    shift_slack = 8.0 * m * float(inst.B) * _EPS * (1 + 4 * _EPS) * w_norm
-    N = gamma_ops(n, fm)
+    budget, shift_slack, w_lo = _budget(inst)
+    N = gamma_ops(inst.n, fm)
     abs_scale = 1.0 / (1.0 - _gamma(N, _EPS))
 
     t0 = time.perf_counter()
-    A_lo, A_hi = _abs_sum_bounds(Xp, Yp, inst.w, fm)
+    A_lo, A_hi = _abs_sum_bounds(inst.X, inst.Y, inst.w, fm)
+    # any measured max_i fl(A_i) is at least fl_lo
+    fl_lo = _round_down((1 - _gamma(N, Fraction(_EPS))) * A_lo)
     abs_max = None   # max_i fl(A_i), measured at most once
     build_s = 0.0
-
-    def float_bound(k: int, unit: float) -> tuple[float, str]:
-        nonlocal abs_max, build_s
-        prior = _round_up(_gamma(k, Fraction(unit)) * A_hi
+    rungs = [(N, _EPS), (2 * N, _EPS_DD)]
+    for k, unit in {None: rungs, "plain": rungs[:1], "high": rungs[1:]}[force]:
+        g = _gamma(k, unit)
+        bound = _round_up(_gamma(k, Fraction(unit)) * A_hi
                           + Fraction(shift_slack))
-        if prior <= budget:
-            return prior, "a-priori"
-        if abs_max is None:
-            t = time.perf_counter()
-            abs_max = _abs_pass(inst, fm, center)
-            build_s += time.perf_counter() - t
-        return _gamma(k, unit) * abs_max * abs_scale + shift_slack, "measured"
-
-    use_high = force == "high"
-    if not use_high:
-        # any measured max_i fl(A_i) is at least (1 - gamma_N) A_lo, and
-        # rounding is monotone, so a measured plain bound is >= floor
-        fl_lo = _round_down((1 - _gamma(N, Fraction(_EPS))) * A_lo)
-        floor = _gamma(N, _EPS) * fl_lo * abs_scale + shift_slack
-        bound, source = ((floor, "a-priori") if floor > budget
-                         else float_bound(N, _EPS))
-        if bound > budget:
-            if force == "plain":
-                raise SoundnessError(
-                    f"double-precision error bound {bound:g} exceeds "
-                    f"the budget {budget:g}; drop force='plain'")
-            use_high = True
-    if use_high:
-        bound, source = float_bound(2 * N, _EPS_DD)
-        if bound > budget:
-            raise SoundnessError(
-                f"even the high-precision error bound {bound:g} exceeds "
-                f"the budget {budget:g}")
-        v = _matvec_dd(inst, fm, center)
+        source = "a-priori"
+        if bound > budget and g * fl_lo * abs_scale + shift_slack <= budget:
+            if abs_max is None:
+                t = time.perf_counter()
+                abs_max = _abs_pass(inst, fm)
+                build_s += time.perf_counter() - t
+            bound = g * abs_max * abs_scale + shift_slack
+            source = "measured"
+        if bound <= budget:
+            break
     else:
-        v, feat_s = _matvec_plain(inst, fm, center)
+        raise SoundnessError(
+            f"{'high' if unit == _EPS_DD else 'double'}-precision error "
+            f"bound {bound:g} exceeds the budget {budget:g}"
+            + ("; drop force='plain'" if force == "plain" else ""))
+
+    use_high = unit == _EPS_DD
+    if use_high:
+        v = _matvec_dd(inst, fm)
+    else:
+        v, feat_s = _matvec_plain(inst, fm)
         build_s += feat_s
 
-    rel_bound = bound / w_norm if w_norm > 0 else 0.0
+    rel_bound = _round_up(Fraction(bound) / w_lo) if w_lo > 0 else 0.0
     return KdeResult(v=v, M=fm.rank, elapsed_build=build_s,
                      elapsed_matvec=time.perf_counter() - t0 - build_s,
                      degree=fm.d, B_used=inst.B, float_error_bound=rel_bound,
@@ -760,21 +752,18 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
                      diameter_violation=violation)
 
 
-def _abs_pass(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
-              ) -> float:
-    """max_i fl(A_i): the feature map on |x'|, |y'| and |c_ijk| in plain
-    doubles, streamed in the plain path's chunks."""
-    aw = np.abs(inst.w)
-    chunks = _chunks(inst.n, fm.rank, _CHUNK_BYTES)
-    sabs = np.zeros(fm.rank)
-    for rows in chunks:
-        Ya = _y_rows(np.abs(inst.Y[rows] - center), fm, absolute=True)
-        sabs += Ya.T @ aw[rows]
-    return max(float((_x_rows(np.abs(inst.X[rows] - center), fm)
-                       @ sabs).max()) for rows in chunks)
+def _abs_pass(inst: KdeInstance, fm: FeatureMap) -> float:
+    """max_i fl(A_i) of a centered instance: the plain matvec of the
+    majorant, on |x'|, |y'|, |w| with |Horner coefficients| and |pair
+    scales|."""
+    majorant = replace(inst, X=np.abs(inst.X), Y=np.abs(inst.Y),
+                       w=np.abs(inst.w))
+    fm_abs = replace(fm, horner=np.abs(fm.horner),
+                     pair_scale=np.abs(fm.pair_scale))
+    return float(_matvec_plain(majorant, fm_abs)[0].max())
 
 
-def _matvec_plain(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
+def _matvec_plain(inst: KdeInstance, fm: FeatureMap
                   ) -> tuple[np.ndarray, float]:
     """Streamed BLAS passes; returns v and the time spent building
     feature rows."""
@@ -784,31 +773,30 @@ def _matvec_plain(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
     feat_s = 0.0
     for rows in chunks:
         t = time.perf_counter()
-        _, Yc = build_feature_matrices(inst, fm, center, empty, rows)
+        _, Yc = build_feature_matrices(inst, fm, empty, rows)
         feat_s += time.perf_counter() - t
         svec += Yc.T @ inst.w[rows]
     parts = []
     for rows in chunks:
         t = time.perf_counter()
-        Xc, _ = build_feature_matrices(inst, fm, center, rows, empty)
+        Xc, _ = build_feature_matrices(inst, fm, rows, empty)
         feat_s += time.perf_counter() - t
         parts.append(Xc @ svec)
     return np.concatenate(parts), feat_s
 
 
-def _matvec_dd(inst: KdeInstance, fm: FeatureMap, center: np.ndarray
-               ) -> np.ndarray:
+def _matvec_dd(inst: KdeInstance, fm: FeatureMap) -> np.ndarray:
     """Double-double end to end over streamed chunks of feature rows."""
     w = inst.w
     tables = _dd_tables(fm)
 
     def reduce(rows):
-        yh, yl = _y_rows_dd(inst.Y[rows] - center, fm, tables)
+        yh, yl = _y_rows_dd(inst.Y[rows], fm, tables)
         th, tl = _dd_mul(yh, yl, w[rows, None], 0.0)
         return _dd_sum_tree(th, tl)
 
     def output(rows):
-        xh, xl = _x_rows_dd(inst.X[rows] - center, fm, tables)
+        xh, xl = _x_rows_dd(inst.X[rows], fm, tables)
         th, tl = _dd_mul(xh, xl, sh, sl)
         vh, vl = _dd_sum_tree(th.T, tl.T)
         return vh + vl

@@ -391,6 +391,23 @@ def test_env_var_overrides_precision(capsys, monkeypatch):
     assert out_explicit == out_def
 
 
+@pytest.mark.parametrize("argv", [
+    ["regimes", "--B", "2", "--delta", "1e-3", "--seed", "1"],
+    ["degree", "--B", "2", "--delta", "1e-3", "--no-timings"],
+    ["build", "--B", "2", "--delta", "1e-3", "--format", "json"],
+    ["kde", "--instance", "inst.json", "--format", "csv"],
+    ["kde", "--instance", "inst.json", "--seed", "1"],
+    ["eval", "--poly", "p.json", "--points", "z.txt",
+     "--precision-bits", "256"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    # each subcommand takes only the common flags that change its output
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

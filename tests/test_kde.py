@@ -1,11 +1,14 @@
 """Batch Gaussian KDE through certified low-rank kernel expansion."""
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from expcheb.approx import (
@@ -39,6 +42,7 @@ from expcheb.kde import (
     _EPS,
     _abs_pass,
     _abs_sum_bounds,
+    _dd_sum_tree,
     _gamma,
     _midrange,
     _two_prod,
@@ -221,7 +225,7 @@ def test_feature_matrices_reproduce_kernel_values():
     X = np.array([[0.25, -0.5], [0.0, 0.75], [-0.125, 0.5]])
     Y = np.array([[0.5, 0.25], [-0.25, 0.0], [0.375, -0.625]])
     inst = make_instance(X, Y, np.ones(3), "1e-4", B=4)
-    Xmat, Ymat = build_feature_matrices(inst, fm, center=None)
+    Xmat, Ymat = build_feature_matrices(inst, fm)
     K = Xmat @ Ymat.T
     for i in range(3):
         for j in range(3):
@@ -510,19 +514,23 @@ def _escalate_instance(n=1024, seed=1):
 def test_lower_bound_below_measured_abs_sum():
     for inst in (_tight_instance(), _escalate_instance()):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
-        A_lo, _ = _abs_sum_bounds(*_centered(inst), inst.w, fm)
+        Xp, Yp = _centered(inst)
+        A_lo, _ = _abs_sum_bounds(Xp, Yp, inst.w, fm)
         abs_scale = 1.0 / (1.0 - _gamma(gamma_ops(inst.n, fm), _EPS))
-        measured = _abs_pass(inst, fm, _midrange(inst)) * abs_scale
+        measured = _abs_pass(dataclasses.replace(inst, X=Xp, Y=Yp), fm) \
+            * abs_scale
         assert A_lo <= Fraction(measured)
 
 
 def _spy_rows(monkeypatch):
+    # each call is recorded with whether its feature map is the majorant:
+    # the real map has the negative pair scale (-2)^1 at j = 1, i = 0
     calls = []
     for name in ("_x_rows", "_y_rows", "build_feature_matrices"):
         real = getattr(kde_mod, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
-            calls.append((_name, kwargs.get("absolute", False)))
+            calls.append((_name, bool((args[1].pair_scale >= 0).all())))
             return _real(*args, **kwargs)
         monkeypatch.setattr(kde_mod, name, spy)
     return calls
@@ -533,7 +541,7 @@ def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
     res = solve(_lowdim_instance())
     assert not res.used_high_precision
     assert res.float_bound_source == "a-priori"
-    assert calls and ("_y_rows", True) not in calls
+    assert calls and not any(majorant for _, majorant in calls)
 
 
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
@@ -634,3 +642,87 @@ def test_cost_model_validation():
         cost_model(2 ** 20, -1.0, 1.0, 1e-3)
     with pytest.raises(DomainError):
         cost_model(2, 1.0, 1.0, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the float budget, the enclosure on both precisions, the double-double sum
+
+
+def test_float_budget_stays_below_exact_half_delta():
+    # fl(sum |w|) rounds above the exact 1 + 2^-53 + 2^-105 and
+    # float(1/1000) > 1/1000, so float(delta) / 2 * fl(sum |w|) would
+    # overshoot delta/2 ||w||_1
+    w = np.array([1.0, 2.0 ** -53 * (1 + 2.0 ** -52)])
+    delta = Fraction(1, 1000)
+    inst = make_instance([[0.0], [0.5]], [[0.25], [0.0]], w, delta, B=1)
+    w1 = sum(Fraction(float(x)) for x in w)
+    exact = delta / 2 * w1
+    assert Fraction(float(delta) / 2 * float(w.sum())) > exact
+    budget, shift_slack, w_lo = kde_mod._budget(inst)
+    assert Fraction(budget) <= exact
+    assert w_lo <= w1
+    u = Fraction(_EPS)
+    assert Fraction(shift_slack) >= 8 * inst.m * inst.B * u * (1 + 4 * u) * w1
+    _, fm = kernel_map(inst.m, inst.B, delta)
+    assert not kde_matvec(inst, fm).used_high_precision
+
+
+@functools.lru_cache(maxsize=None)
+def _property_map(m):
+    spec = problem(Target.EXP_NEG, 9, "1e-6")
+    return expand_kernel_poly(export_polynomial(spec, find_degree(spec)), m)
+
+
+@st.composite
+def _dyadic_instances(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-48, 48), min_size=n * m, max_size=n * m)
+    # far from the origin the centering still moves these points exactly
+    offset = draw(st.sampled_from([0.0, 1024.0, 2.0 ** 20 + 0.5]))
+    X = offset + np.array(draw(coords), dtype=float).reshape(n, m) / 64
+    Y = offset + np.array(draw(coords), dtype=float).reshape(n, m) / 64
+    w = np.array(draw(st.lists(st.integers(-32, 32), min_size=n,
+                               max_size=n)), dtype=float) / 32
+    if n > 1 and draw(st.booleans()):
+        w[-1] = -w[:-1].sum()    # weights that cancel exactly
+    return X, Y, w
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(_dyadic_instances())
+def test_float_bound_encloses_exact_sum_on_both_precisions(case):
+    X, Y, w = case
+    m = X.shape[1]
+    fm = _property_map(m)
+    inst = make_instance(X, Y, w, "1e-6", B=9)
+    xs = [[Fraction(v) for v in row] for row in X]
+    ys = [[Fraction(v) for v in row] for row in Y]
+    exact = [sum(Fraction(wj) * oracles.kernel_poly_value(
+        fm.poly.monomial_form, x, y) for y, wj in zip(ys, w)) for x in xs]
+    w1 = sum(abs(Fraction(wj)) for wj in w)
+    undecided = (Fraction(0), Fraction(10 ** 400))
+    results = [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
+    with mock.patch.object(kde_mod, "_abs_sum_bounds",
+                           lambda *args: undecided):
+        results += [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
+    assert {r.float_bound_source for r in results[2:]} == {"measured"}
+    for res in results:
+        gap = max(abs(Fraction(float(v)) - e) for v, e in zip(res.v, exact))
+        assert gap <= Fraction(res.float_error_bound) * w1
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 8, 9])
+def test_dd_sum_tree_matches_exact_sum(rows):
+    # positive double-double rows over sixty binades; an odd count carries
+    # its middle row up a level
+    rng = np.random.default_rng(rows)
+    hi = rng.uniform(0.5, 1.0, (rows, 3)) * 2.0 ** rng.integers(-30, 30,
+                                                                (rows, 3))
+    lo = hi * rng.uniform(-1.0, 1.0, (rows, 3)) * 2.0 ** -54
+    want = [sum(Fraction(float(h)) + Fraction(float(l))
+                for h, l in zip(hi[:, c], lo[:, c])) for c in range(3)]
+    sh, sl = _dd_sum_tree(hi.copy(), lo.copy())
+    for c in range(3):
+        got = Fraction(float(sh[c])) + Fraction(float(sl[c]))
+        assert abs(got - want[c]) <= want[c] / 2 ** 100
