@@ -14,9 +14,10 @@ The builder works in three stages:
    monomial coefficients in the original variable z in [0, B], with every
    rounding step budgeted and re-verified.
 
-All tolerance comparisons that decide a certificate are performed on
-exact rationals (every finite binary float is one), never on rounded
-values.
+`problem` rounds B up and delta down once, so a certificate covers the
+requested [0, B] at the requested delta.  All tolerance comparisons that
+decide a certificate are performed on exact rationals (every finite
+binary float is one), never on rounded values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath.libmp import mpf_exp, mpf_neg
+from mpmath.libmp import mpf_div, mpf_exp, mpf_neg
 
 from .coeffs import (
     CoeffValue,
@@ -111,14 +112,16 @@ def problem(target: Target, B, delta, bits: int = DEFAULT_BITS) -> ProblemSpec:
     """Validate and package an approximation problem.
 
     `B` and `delta` may be decimal strings (kept verbatim for round-trip
-    serialization), ints, floats, Fractions, or HPReal values.
+    serialization), ints, floats, Fractions, or HPReal values.  All but
+    HPReal are read exactly and rounded once at `bits`, B up and delta
+    down, so a certificate covers the requested [0, B] at that delta.
     """
     if not isinstance(target, Target):
         raise DomainError("target must be a Target")
     B_text = B if isinstance(B, str) else str(B)
     delta_text = delta if isinstance(delta, str) else str(delta)
-    B_hp = B if isinstance(B, HPReal) else HPReal(B, bits)
-    delta_hp = delta if isinstance(delta, HPReal) else HPReal(delta, bits)
+    B_hp = _outward(B, bits, "c")       # ceiling
+    delta_hp = _outward(delta, bits, "f")  # floor
     B_frac = B_hp.to_fraction()
     delta_frac = delta_hp.to_fraction()
     if B_frac < 1:
@@ -127,6 +130,22 @@ def problem(target: Target, B, delta, bits: int = DEFAULT_BITS) -> ProblemSpec:
         raise DomainError("tolerance delta must lie strictly between 0 and 1")
     return ProblemSpec(target, B_hp, delta_hp, B_text, delta_text,
                        B_frac, delta_frac, B_hp.shifted(-1))
+
+
+def _outward(value, bits: int, rnd) -> HPReal:
+    """`value` read exactly and rounded once at `bits` in the direction
+    `rnd`; an HPReal is taken as it is.  A decimal exponent past 100,000
+    is refused before the exact parse, whose cost grows with it."""
+    if isinstance(value, HPReal):
+        return value
+    try:
+        if abs(int(str(value).lower().partition("e")[2] or 0)) > 100_000:
+            raise ValueError
+        q = Fraction(value)
+    except (ArithmeticError, ValueError, TypeError):
+        raise DomainError(f"cannot parse number {value!r}") from None
+    num, den = HPReal(q.numerator, bits), HPReal(q.denominator, bits)
+    return HPReal(mpf_div(num.raw, den.raw, num.bits, rnd), num.bits)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,6 @@ from .hp import hpf
 from .kde import kde_bruteforce, kde_matvec, kernel_map, make_instance
 from .polyio import parse_polynomial, render_polynomial
 
-DEFAULT_BITS_ENV = "EXPCHEB_BITS"
-
 
 def _target(text: str) -> Target:
     try:
@@ -82,8 +80,7 @@ def _prediction_doc(pred) -> dict:
 
 
 def cmd_degree(args) -> str:
-    spec = problem(_target(args.target), args.B, args.delta,
-                   args.precision_bits)
+    spec = problem(_target(args.target), args.B, args.delta)
     pred = predict_degree(spec)
     cert = None
     note = None
@@ -169,8 +166,7 @@ def cmd_coeffs(args) -> str:
 
 
 def cmd_build(args) -> str:
-    spec = problem(_target(args.target), args.B, args.delta,
-                   args.precision_bits)
+    spec = problem(_target(args.target), args.B, args.delta)
     cert = find_degree(spec)
     poly = export_polynomial(spec, cert)
     doc = render_polynomial(spec, poly)
@@ -261,8 +257,7 @@ def _load_instance(args):
 
 def cmd_kde(args) -> str:
     inst = _load_instance(args)
-    cert, fm = kernel_map(inst.m, inst.B, inst.delta, args.precision_bits,
-                          args.max_columns)
+    cert, fm = kernel_map(inst.m, inst.B, inst.delta)
     res = kde_matvec(inst, fm, force=args.force,
                      validate_diameter=args.validate_diameter)
     doc = {
@@ -311,12 +306,11 @@ def _parse_list(text: str) -> list[str]:
 
 def cmd_regimes(args) -> str:
     target = _target(args.target)
-    bits = args.precision_bits
     rows = ["B,delta,rho,regime,constant_name,leading_constant,"
             "predicted_degree,D_upper,D_lower,lower_witness"]
     for delta_text in _parse_list(args.deltas):
         for b_text in _parse_list(args.Bs):
-            spec = problem(target, b_text, delta_text, bits)
+            spec = problem(target, b_text, delta_text)
             regime, rho = classify_regime(spec)
             pred = predict_degree(spec)
             if pred.regime is Regime.HUGE_B:
@@ -351,7 +345,7 @@ def cmd_bench(args) -> str:
         raise DomainError("bench sizes must be at least 2")
     delta = _frac_from_text(args.delta)
     B = _frac_from_text(args.B)
-    _, fm = kernel_map(args.m, B, delta, args.precision_bits, args.max_columns)
+    _, fm = kernel_map(args.m, B, delta)
 
     # points drawn inside a box whose squared diameter stays below B
     side = math.sqrt(0.98 * float(B) / args.m)
@@ -397,12 +391,6 @@ def cmd_bench(args) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    bits = argparse.ArgumentParser(add_help=False)
-    bits.add_argument("--precision-bits", type=int,
-                      default=os.environ.get(DEFAULT_BITS_ENV, "128"),
-                      dest="precision_bits",
-                      help="working precision in bits (default 128, or "
-                           f"${DEFAULT_BITS_ENV})")
     timings = argparse.ArgumentParser(add_help=False)
     timings.add_argument("--no-timings", action="store_true",
                          dest="no_timings",
@@ -422,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("degree", parents=[bits],
+    p = subs.add_parser("degree",
                         help="degree certificate plus regime prediction")
     p.add_argument("--B", required=True, help="domain width (decimal text)")
     p.add_argument("--delta", required=True, help="uniform tolerance")
@@ -431,8 +419,12 @@ def _build_parser() -> argparse.ArgumentParser:
     output_format(p, "json")
     p.set_defaults(func=cmd_degree)
 
-    p = subs.add_parser("coeffs", parents=[bits],
-                        help="certified series coefficients as CSV")
+    p = subs.add_parser("coeffs", help="certified series coefficients as CSV")
+    p.add_argument("--precision-bits", type=int,
+                   default=os.environ.get("EXPCHEB_BITS", "128"),
+                   dest="precision_bits",
+                   help="working precision in bits (default 128, or "
+                        "$EXPCHEB_BITS)")
     p.add_argument("--lambda", required=True, dest="lam",
                    help="coefficient scale (= B/2), at least 1/2")
     p.add_argument("--target", default="exp-neg",
@@ -442,8 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output_format(p, "csv")
     p.set_defaults(func=cmd_coeffs)
 
-    p = subs.add_parser("build", parents=[bits],
-                        help="export a certified polynomial document")
+    p = subs.add_parser("build", help="export a certified polynomial document")
     p.add_argument("--B", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--target", default="exp-neg",
@@ -459,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output_format(p, "csv")
     p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("kde", parents=[bits, timings],
+    p = subs.add_parser("kde", parents=[timings],
                         help="batch Gaussian KDE via feature expansion")
     p.add_argument("--instance", default=None,
                    help="instance JSON {n, m, x, y, w, delta, B?}")
@@ -476,11 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate-diameter", action="store_true",
                    dest="validate_diameter",
                    help="exactly check the squared-diameter bound (O(n^2 m))")
-    p.add_argument("--max-columns", type=int, default=2_000_000,
-                   dest="max_columns")
     p.set_defaults(func=cmd_kde)
 
-    p = subs.add_parser("regimes", parents=[bits],
+    p = subs.add_parser("regimes",
                         help="sweep (B, delta): predicted vs certified")
     p.add_argument("--B", required=True, dest="Bs",
                    help="comma-separated B values")
@@ -493,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip certificates (fast, prediction columns only)")
     p.set_defaults(func=cmd_regimes)
 
-    p = subs.add_parser("bench", parents=[bits, timings],
+    p = subs.add_parser("bench", parents=[timings],
                         help="timing sweep: feature matvec vs brute force")
     p.add_argument("--n", required=True, dest="ns",
                    help="comma-separated instance sizes")
@@ -502,8 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--repeats", type=int, default=1,
                    help="repetitions per size; the minimum is reported")
-    p.add_argument("--max-columns", type=int, default=2_000_000,
-                   dest="max_columns")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random instances (default 0)")
     p.set_defaults(func=cmd_bench)

@@ -101,10 +101,11 @@ bounds the error.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
 (gamma_N at unit u) and then double-double (gamma_2N at unit 2^-104).
-A rung takes the bound from A_hi when that meets the budget.  It fails
-without a pass when the bound a measured pass would report from A_lo
-misses the budget (rounding is monotone).  Otherwise the measured pass,
-run at most once per call, decides it.  SoundnessError ends a ladder
+A rung bounds the error by gamma_k A + shift_slack, in rationals rounded
+up, and takes A = A_hi when that meets the budget.  It fails without a
+pass when A = A_lo misses it: the measured A = fl(max_i A_i) /
+(1 - gamma_N) is at least A_lo.  Otherwise the measured pass, run at
+most once per call, decides it.  SoundnessError ends a ladder
 whose last rung fails.
 """
 
@@ -128,7 +129,7 @@ from .approx import (
 )
 from .coeffs import Target
 from .errors import CapacityError, DomainError, SoundnessError
-from .hp import DEFAULT_BITS, hpf
+from .hp import hpf
 from .special import critical_constant_neg
 
 MAX_COLUMNS = 2_000_000
@@ -165,7 +166,6 @@ class FeatureMap:
     """
     m: int
     d: int
-    coef: np.ndarray          # (d+1)^3 exact c_ijk, zero where i+j+k > d
     exponents: np.ndarray     # T x m exponent vectors beta, T = C(m+d, d)
     runs: np.ndarray          # parent links: rows (dst, src, count, var)
     level_starts: tuple[int, ...]  # first monomial of each degree, then T
@@ -207,13 +207,12 @@ def feature_count(m: int, d: int) -> int:
     return math.comb(m + d + 1, d)
 
 
-def _check_rank(m: int, d: int, max_columns: int = MAX_COLUMNS) -> int:
+def _check_rank(m: int, d: int) -> None:
     R = feature_count(m, d)
-    if R > max_columns:
+    if R > MAX_COLUMNS:
         raise CapacityError(
             f"feature expansion needs R = C({m+d+1}, {d}) = {R} columns, "
-            f"above the configured ceiling of {max_columns}")
-    return R
+            f"above the ceiling of {MAX_COLUMNS}")
 
 
 def estimate_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
@@ -269,9 +268,7 @@ def make_instance(X, Y, w, delta, B=None) -> KdeInstance:
 # monomial enumeration and kernel factorization
 
 
-def enumerate_multi_indices(m: int, d: int,
-                            max_columns: int = MAX_COLUMNS
-                            ) -> list[tuple[int, ...]]:
+def enumerate_multi_indices(m: int, d: int) -> list[tuple[int, ...]]:
     """All exponent tuples over m variables with total degree <= d.
 
     Graded colexicographic: ascending total degree, then ascending
@@ -280,11 +277,11 @@ def enumerate_multi_indices(m: int, d: int,
     for v is the previous degree's tuples with last nonzero variable
     <= v (a prefix of that degree), each plus one unit of v.  Length is
     C(m+d, d).  Refuses when the rank-C(m+d+1, d) map they index would
-    exceed `max_columns`.
+    exceed MAX_COLUMNS.
     """
     if m < 1 or d < 1:
         raise DomainError("m and d must be positive")
-    _check_rank(m, d, max_columns)
+    _check_rank(m, d)
     return [tuple(int(e) for e in vec) for vec in _monomial_tree(m, d)[0]]
 
 
@@ -317,52 +314,50 @@ def _multinomial(beta) -> int:
     return out
 
 
-def _pair_scale(i: int, j: int) -> int:
-    return (-2) ** j * math.comb(i + j, i)
+def _exact_tables(poly: ExportedPolynomial, exponents: np.ndarray, d: int):
+    """The feature map's tables, exact: weights j! / beta! per monomial,
+    Horner coefficients [s, k] = c_{s,0,k} = p_{s+k} C(s+k, s) and pair
+    scales [j, i] = (-2)^j C(i+j, i), zero for i > d-j."""
+    p = list(poly.monomial_form) + [Fraction(0)] * (d + 1)
+    return ([_multinomial(b) for b in exponents],
+            [[p[s + k] * math.comb(s + k, s) for k in range(d + 1)]
+             for s in range(d + 1)],
+            [[(-2) ** j * math.comb(i + j, i) if i + j <= d else 0
+              for i in range(d + 1)] for j in range(d + 1)])
 
 
-def expand_kernel_poly(poly: ExportedPolynomial, m: int,
-                       max_columns: int = MAX_COLUMNS) -> FeatureMap:
+def expand_kernel_poly(poly: ExportedPolynomial, m: int) -> FeatureMap:
     """Factor p(||x - y||^2) through (||x||^2, <x, y>, ||y||^2).
 
-    The coefficients c_ijk are exact rationals computed from p's dyadic
+    The Horner coefficients c_{s,0,k} and pair scales come from p's dyadic
     monomial form; the monomials over the m coordinates carry parent
     pointers for incremental evaluation.
     """
     if m < 1:
         raise DomainError("m must be positive")
     d = max(poly.degree, 1)
-    _check_rank(m, d, max_columns)
-    p = list(poly.monomial_form) + [Fraction(0)] * (d + 1)
-    for c in p:
+    _check_rank(m, d)
+    for c in poly.monomial_form:
         if c.denominator & (c.denominator - 1):
             raise SoundnessError("polynomial coefficients are not dyadic")
 
-    fact = [math.factorial(k) for k in range(d + 1)]
-    coef = np.full((d + 1,) * 3, Fraction(0), dtype=object)
-    for i in range(d + 1):
-        for j in range(d + 1 - i):
-            for k in range(d + 1 - i - j):
-                mult = fact[i + j + k] // (fact[i] * fact[j] * fact[k])
-                coef[i, j, k] = p[i + j + k] * mult * (-2) ** j
-
     exponents, runs, level_starts = _monomial_tree(m, d)
-    horner = np.array([[float(coef[s, 0, k]) for k in range(d + 1)]
-                       for s in range(d + 1)])
-    pair_scale = np.array([[float(_pair_scale(i, j)) if i + j <= d else 0.0
-                            for i in range(d + 1)] for j in range(d + 1)])
-    return FeatureMap(m, d, coef, exponents, runs, level_starts,
-                      np.array([float(_multinomial(b)) for b in exponents]),
-                      horner, pair_scale, poly)
+    weights, horner, pair_scale = (
+        np.array(t, dtype=np.float64)
+        for t in _exact_tables(poly, exponents, d))
+    return FeatureMap(m, d, exponents, runs, level_starts, weights, horner,
+                      pair_scale, poly)
 
 
 def reconstruct_feature_value(fm: FeatureMap, x, y) -> Fraction:
-    """Exact sum_r Xmat_r(x) Ymat_r(y) of the map at one (x, y) pair."""
+    """Exact sum_r Xmat_r(x) Ymat_r(y) of the map at one (x, y) pair, with
+    c_ijk = p_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j taken from p itself."""
     xs = [Fraction(v) for v in x]
     ys = [Fraction(v) for v in y]
     a = sum(v * v for v in xs)
     c = sum(v * v for v in ys)
     d = fm.d
+    p = list(fm.poly.monomial_form) + [Fraction(0)] * (d + 1)
     total = Fraction(0)
     for beta in fm.exponents:
         j = int(beta.sum())
@@ -372,7 +367,8 @@ def reconstruct_feature_value(fm: FeatureMap, x, y) -> Fraction:
             xb *= xv ** int(e)
             yb *= yv ** int(e)
         for i in range(d - j + 1):
-            h = sum(fm.coef[i, j, k] * c ** k for k in range(d - i - j + 1))
+            h = sum(p[i + j + k] * _multinomial((i, j, k)) * (-2) ** j
+                    * c ** k for k in range(d - i - j + 1))
             total += (xb * a ** i) * (yb * h)
     return total
 
@@ -549,10 +545,8 @@ def _dd_monomial_rows(P: np.ndarray, fm: FeatureMap):
 
 def _dd_tables(fm: FeatureMap):
     """Weights, Horner coefficients and pair scales as exact (hi, lo)."""
-    return (_dd_split([_multinomial(b) for b in fm.exponents]),
-            _dd_split(fm.coef[:, 0, :]),
-            _dd_split([[_pair_scale(i, j) if i + j <= fm.d else 0
-                        for i in range(fm.d + 1)] for j in range(fm.d + 1)]))
+    return tuple(_dd_split(t)
+                 for t in _exact_tables(fm.poly, fm.exponents, fm.d))
 
 
 def _x_rows_dd(P: np.ndarray, fm: FeatureMap, tables):
@@ -707,26 +701,26 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
         raise DomainError("non-finite input coordinate")
     budget, shift_slack, w_lo = _budget(inst)
     N = gamma_ops(inst.n, fm)
-    abs_scale = 1.0 / (1.0 - _gamma(N, _EPS))
+    slack = Fraction(shift_slack)
 
     t0 = time.perf_counter()
     A_lo, A_hi = _abs_sum_bounds(inst.X, inst.Y, inst.w, fm)
-    # any measured max_i fl(A_i) is at least fl_lo
-    fl_lo = _round_down((1 - _gamma(N, Fraction(_EPS))) * A_lo)
-    abs_max = None   # max_i fl(A_i), measured at most once
+    A_measured = None   # fl(max_i A_i) / (1 - gamma_N), measured at most once
     build_s = 0.0
     rungs = [(N, _EPS), (2 * N, _EPS_DD)]
     for k, unit in {None: rungs, "plain": rungs[:1], "high": rungs[1:]}[force]:
-        g = _gamma(k, unit)
-        bound = _round_up(_gamma(k, Fraction(unit)) * A_hi
-                          + Fraction(shift_slack))
+        g = _gamma(k, Fraction(unit))
+        bound = _round_up(g * A_hi + slack)
         source = "a-priori"
-        if bound > budget and g * fl_lo * abs_scale + shift_slack <= budget:
-            if abs_max is None:
+        if bound > budget and _round_up(g * A_lo + slack) <= budget:
+            if A_measured is None:
                 t = time.perf_counter()
-                abs_max = _abs_pass(inst, fm)
+                a = _abs_pass(inst, fm)
+                # an overflowed pass measures nothing past A_hi
+                A_measured = Fraction(a) / (1 - _gamma(N, Fraction(_EPS))) \
+                    if math.isfinite(a) else A_hi
                 build_s += time.perf_counter() - t
-            bound = g * abs_max * abs_scale + shift_slack
+            bound = _round_up(g * A_measured + slack)
             source = "measured"
         if bound <= budget:
             break
@@ -820,9 +814,7 @@ def kde_bruteforce(inst: KdeInstance, chunk: int = 256) -> np.ndarray:
     return v
 
 
-def kernel_map(m: int, B, delta, bits: int = DEFAULT_BITS,
-               max_columns: int = MAX_COLUMNS
-               ) -> tuple[DegreeCertificate, FeatureMap]:
+def kernel_map(m: int, B, delta) -> tuple[DegreeCertificate, FeatureMap]:
     """Certify p for exp(-z) on [0, B] at delta/2 and factor p(||x - y||^2).
 
     The certify->factor half of the KDE pipeline, shared by `solve` and
@@ -830,18 +822,17 @@ def kernel_map(m: int, B, delta, bits: int = DEFAULT_BITS,
     other half goes to the floating-point passes.  The rank is checked
     before the polynomial is exported.
     """
-    spec = problem(Target.EXP_NEG, B, Fraction(delta) / 2, bits)
+    spec = problem(Target.EXP_NEG, B, Fraction(delta) / 2)
     cert = find_degree(spec)
-    _check_rank(m, cert.D_upper, max_columns)
+    _check_rank(m, cert.D_upper)
     poly = export_polynomial(spec, cert)
-    return cert, expand_kernel_poly(poly, m, max_columns)
+    return cert, expand_kernel_poly(poly, m)
 
 
 def solve(inst: KdeInstance, force: str | None = None,
-          validate_diameter: bool = False,
-          max_columns: int = MAX_COLUMNS) -> KdeResult:
+          validate_diameter: bool = False) -> KdeResult:
     """End-to-end driver: certify a polynomial at delta/2, expand, matvec."""
-    _, fm = kernel_map(inst.m, inst.B, inst.delta, max_columns=max_columns)
+    _, fm = kernel_map(inst.m, inst.B, inst.delta)
     return kde_matvec(inst, fm, force=force,
                       validate_diameter=validate_diameter)
 

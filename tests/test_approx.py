@@ -51,6 +51,9 @@ def test_problem_validation():
         problem(Target.EXP_NEG, 4, 1)
     with pytest.raises(DomainError):
         problem(Target.EXP_NEG, 4, "1.5")
+    for text in ("abc", "inf", "1/0", "1e-1000000"):
+        with pytest.raises(DomainError):
+            problem(Target.EXP_NEG, 4, text)
     spec = problem(Target.EXP_NEG, "4", "1e-6")
     assert spec.B_text == "4" and spec.delta_text == "1e-6"
     assert spec.lam.to_fraction() == 2
@@ -62,6 +65,40 @@ def test_tiny_tolerance_survives_parsing():
     assert 0 < spec.delta_frac < Fraction(1, 10 ** 299)
     L = log_inv_delta(spec, 128).to_float()
     assert abs(L - 300 * math.log(10)) < 1e-9
+
+
+def _ulp(q: Fraction, bits: int = 128) -> Fraction:
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if Fraction(2) ** e > q:
+        e -= 1
+    return Fraction(2) ** (e + 1 - bits)
+
+
+def _assert_rounded_outward(spec, B_text, delta_text):
+    B, delta = Fraction(B_text), Fraction(delta_text)
+    assert B <= spec.B_frac <= B + 2 * _ulp(B)
+    assert delta - 2 * _ulp(delta) <= spec.delta_frac <= delta
+    assert spec.lam.to_fraction() == spec.B_frac / 2
+
+
+def test_problem_rounds_inputs_outward():
+    # to nearest, "101.7" would round low and "1e-6" high
+    _assert_rounded_outward(problem(Target.EXP_POS, "101.7", "1e-6"),
+                            "101.7", "1e-6")
+    spec = problem(Target.EXP_NEG, Fraction(1017, 10), Fraction(1, 3))
+    _assert_rounded_outward(spec, "101.7", "1/3")
+    exact = problem(Target.EXP_NEG, 4, 0.25)
+    assert (exact.B_frac, exact.delta_frac) == (4, Fraction(1, 4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.decimals(min_value=1, max_value=10 ** 6, allow_nan=False,
+                   allow_infinity=False),
+       st.decimals(min_value="1e-40", max_value="0.999", allow_nan=False,
+                   allow_infinity=False))
+def test_problem_rounding_property(B, delta):
+    _assert_rounded_outward(problem(Target.EXP_NEG, str(B), str(delta)),
+                            str(B), str(delta))
 
 
 def test_classify_regime_grid():

@@ -67,8 +67,7 @@ def test_degree_capacity_note_and_interval(capsys):
 
 
 def test_degree_tiny_tolerance(capsys):
-    code, out, _ = _run(capsys, ["degree", "--B", "2", "--delta", "1e-300",
-                                 "--precision-bits", "1100"])
+    code, out, _ = _run(capsys, ["degree", "--B", "2", "--delta", "1e-300"])
     assert code == 0
     doc = json.loads(out)
     assert doc["certificate"]["D_upper"] > 80
@@ -399,6 +398,13 @@ def test_env_var_overrides_precision(capsys, monkeypatch):
     ["kde", "--instance", "inst.json", "--seed", "1"],
     ["eval", "--poly", "p.json", "--points", "z.txt",
      "--precision-bits", "256"],
+    ["degree", "--B", "2", "--delta", "1e-3", "--precision-bits", "256"],
+    ["kde", "--instance", "inst.json", "--precision-bits", "256"],
+    ["bench", "--n", "64", "--m", "2", "--B", "4", "--delta", "1e-2",
+     "--precision-bits", "256"],
+    ["kde", "--instance", "inst.json", "--max-columns", "100"],
+    ["bench", "--n", "64", "--m", "2", "--B", "4", "--delta", "1e-2",
+     "--max-columns", "100"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     # each subcommand takes only the common flags that change its output

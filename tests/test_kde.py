@@ -151,22 +151,26 @@ def test_estimate_dominates_measured_diameter():
         assert estimate_diameter_sq(X, Y) >= measured_diameter_sq(X, Y) - 1e-12
 
 
+def _table_coefs(fm):
+    """The nonzero c_ijk = pair_scale[j, i] horner[i + j, k] of the float
+    tables."""
+    d = fm.d
+    coefs = {(i, j, k): fm.pair_scale[j, i] * fm.horner[i + j, k]
+             for i in range(d + 1) for j in range(d + 1 - i)
+             for k in range(d + 1 - i - j)}
+    return {key: c for key, c in coefs.items() if c != 0}
+
+
 def test_expand_linear_hand_case():
     fm = expand_kernel_poly(_synthetic_poly([0, 1]), 1)
     assert fm.d == 1
-    nonzero = {(i, j, k): fm.coef[i, j, k]
-               for i in range(2) for j in range(2) for k in range(2)
-               if fm.coef[i, j, k] != 0}
-    assert nonzero == {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-2),
-                       (0, 0, 1): Fraction(1)}
+    assert _table_coefs(fm) == {(1, 0, 0): 1.0, (0, 1, 0): -2.0,
+                                (0, 0, 1): 1.0}
 
 
 def test_expand_constant_hand_case():
     fm = expand_kernel_poly(_synthetic_poly([Fraction(3, 8), 0]), 2)
-    nonzero = {(i, j, k): fm.coef[i, j, k]
-               for i in range(2) for j in range(2) for k in range(2)
-               if fm.coef[i, j, k] != 0}
-    assert nonzero == {(0, 0, 0): Fraction(3, 8)}
+    assert _table_coefs(fm) == {(0, 0, 0): 0.375}
     assert fm.rank == feature_count(2, 1)
 
 
@@ -241,13 +245,20 @@ def test_float_tables_factor_the_coefficients():
     poly = export_polynomial(spec, find_degree(spec))
     fm = expand_kernel_poly(poly, 3)
     d = fm.d
+    p = poly.monomial_form
     for i in range(d + 1):
         for j in range(d + 1 - i):
             scale = (-2) ** j * math.comb(i + j, i)
             assert fm.pair_scale[j, i] == scale
             for k in range(d + 1 - i - j):
-                assert fm.coef[i, j, k] == scale * fm.coef[i + j, 0, k]
-                assert fm.horner[i + j, k] == float(fm.coef[i + j, 0, k])
+                s = i + j + k
+                horner = p[s] * math.comb(s, i + j)
+                assert fm.horner[i + j, k] == float(horner)
+                # c_ijk = p_s s! / (i! j! k!) (-2)^j factors exactly
+                mult = math.factorial(s) // (math.factorial(i)
+                                             * math.factorial(j)
+                                             * math.factorial(k))
+                assert scale * horner == p[s] * mult * (-2) ** j
     for beta, wt in zip(fm.exponents, fm.weights):
         want = math.factorial(int(beta.sum()))
         for e in beta:
@@ -436,10 +447,13 @@ def _exact_abs_sum_max(inst, fm):
 
 
 def test_abs_sum_identity_matches_feature_map():
-    # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is P_abs(a + 2<|x|,|y|> + c)
+    # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is P_abs(a + 2<|x|,|y|> + c):
+    # the majorant's float rows reach it within gamma_N, each of their
+    # terms being nonnegative
     spec = problem(Target.EXP_NEG, 4, "1e-3")
     fm = expand_kernel_poly(export_polynomial(spec, find_degree(spec)), 3)
-    fm_abs = dataclasses.replace(fm, coef=np.abs(fm.coef))
+    fm_abs = dataclasses.replace(fm, horner=np.abs(fm.horner),
+                                 pair_scale=np.abs(fm.pair_scale))
     p_abs = [abs(c) for c in fm.poly.monomial_form]
     x = [Fraction(-3, 8), Fraction(5, 4), Fraction(1, 16)]
     y = [Fraction(7, 8), Fraction(-1, 2), Fraction(-9, 4)]
@@ -447,7 +461,15 @@ def test_abs_sum_identity_matches_feature_map():
     t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
          + sum(q * q for q in ay))
     want = sum(c * t ** k for k, c in enumerate(p_abs))
-    assert reconstruct_feature_value(fm_abs, ax, ay) == want
+    inst = make_instance([[float(v) for v in ax]], [[float(v) for v in ay]],
+                         [1.0], "1e-3", B=4)
+    Xmat, Ymat = build_feature_matrices(inst, fm_abs)
+    got = Fraction(float(Xmat[0] @ Ymat[0]))
+    assert abs(got - want) <= _gamma(gamma_ops(1, fm), Fraction(_EPS)) * want
+    # and exactly: flipping y's sign turns each (-2)^j into 2^j
+    poly_abs = _synthetic_poly(p_abs)
+    fm_exact = expand_kernel_poly(poly_abs, 3)
+    assert reconstruct_feature_value(fm_exact, ax, [-v for v in ay]) == want
 
 
 # eight dyadic coordinates whose float sum of squares rounds below the
@@ -570,6 +592,34 @@ def test_a_priori_paths_match_the_measured_path(monkeypatch):
         assert a.used_high_precision is b.used_high_precision is high
         assert a.v.tobytes() == b.v.tobytes()
         assert b.float_error_bound <= a.float_error_bound
+
+
+def test_measured_bound_is_rounded_up(monkeypatch):
+    # on the measured path the reported bound is at least the exact
+    # gamma_k / (1 - gamma_N) fl(max_i A_i) + shift_slack, over ||w||_1;
+    # a bound summed in round-to-nearest doubles falls below it on 7 of
+    # these 80 runs
+    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
+                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 40)), int(rng.integers(1, 3))
+        inst = make_instance(rng.uniform(0, 1.2, (n, m)),
+                             rng.uniform(0, 1.2, (n, m)),
+                             rng.standard_normal(n), "1e-3")
+        _, fm = kernel_map(inst.m, inst.B, inst.delta)
+        Xp, Yp = _centered(inst)
+        centered = dataclasses.replace(inst, X=Xp, Y=Yp)
+        abs_max = Fraction(_abs_pass(centered, fm))
+        _, shift_slack, w_lo = kde_mod._budget(centered)
+        N = gamma_ops(inst.n, fm)
+        for force, k, unit in (("plain", N, _EPS),
+                               ("high", 2 * N, kde_mod._EPS_DD)):
+            res = kde_matvec(inst, fm, force=force)
+            assert res.float_bound_source == "measured"
+            exact = (_gamma(k, Fraction(unit)) * abs_max
+                     / (1 - _gamma(N, Fraction(_EPS))) + Fraction(shift_slack))
+            assert Fraction(res.float_error_bound) >= exact / w_lo
 
 
 def test_diameter_validation_warns_and_reports():
