@@ -12,7 +12,7 @@ The builder works in three stages:
 3. `export_polynomial` materializes the certified truncation as both a
    Chebyshev-basis form (for stable evaluation) and exact dyadic-rational
    monomial coefficients in the original variable z in [0, B], with every
-   rounding step budgeted and re-verified.
+   rounding step budgeted and its error summed exactly.
 
 `problem` rounds B up and delta down once, so a certificate covers the
 requested [0, B] at the requested delta.  All tolerance comparisons that
@@ -120,8 +120,9 @@ def problem(target: Target, B, delta, bits: int = DEFAULT_BITS) -> ProblemSpec:
         raise DomainError("target must be a Target")
     B_text = B if isinstance(B, str) else str(B)
     delta_text = delta if isinstance(delta, str) else str(delta)
-    B_hp = _outward(B, bits, "c")       # ceiling
-    delta_hp = _outward(delta, bits, "f")  # floor
+    B_hp = B if isinstance(B, HPReal) else _rounded(parse_exact(B), bits, "c")
+    delta_hp = delta if isinstance(delta, HPReal) \
+        else _rounded(parse_exact(delta), bits, "f")
     B_frac = B_hp.to_fraction()
     delta_frac = delta_hp.to_fraction()
     if B_frac < 1:
@@ -132,20 +133,24 @@ def problem(target: Target, B, delta, bits: int = DEFAULT_BITS) -> ProblemSpec:
                        B_frac, delta_frac, B_hp.shifted(-1))
 
 
-def _outward(value, bits: int, rnd) -> HPReal:
-    """`value` read exactly and rounded once at `bits` in the direction
-    `rnd`; an HPReal is taken as it is.  A decimal exponent past 100,000
-    is refused before the exact parse, whose cost grows with it."""
-    if isinstance(value, HPReal):
-        return value
+def parse_exact(value) -> Fraction:
+    """`value` (text, int, float or Fraction) read exactly; anything that is
+    not a finite number raises DomainError.  In text, a decimal exponent
+    past 100,000 is refused before the exact parse, whose cost grows with
+    it."""
     try:
-        if abs(int(str(value).lower().partition("e")[2] or 0)) > 100_000:
+        if (isinstance(value, str)
+                and abs(int(value.lower().partition("e")[2] or 0)) > 100_000):
             raise ValueError
-        q = Fraction(value)
+        return Fraction(value)
     except (ArithmeticError, ValueError, TypeError):
         raise DomainError(f"cannot parse number {value!r}") from None
+
+
+def _rounded(q: Fraction, bits: int, rnd) -> HPReal:
+    """`q` rounded once at `bits` in the direction `rnd` ("c" up, "f" down)."""
     num, den = HPReal(q.numerator, bits), HPReal(q.denominator, bits)
-    return HPReal(mpf_div(num.raw, den.raw, num.bits, rnd), num.bits)
+    return HPReal(mpf_div(num.raw, den.raw, bits, rnd), bits)
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,8 @@ class ExportedPolynomial:
 
     `monomial_form[j]` is the exact dyadic-rational coefficient of z^j,
     z in [0, B].  `certified_sup_bound` is a proven upper bound on
-    sup |p(z) - f(z)|: truncation tail + coefficient radii + rounding.
+    sup |p(z) - f(z)|: truncation tail + coefficient radii + rounding,
+    rounded up; `rounding_bound`, the rounding term alone, rounded up.
     """
 
     degree: int
@@ -451,15 +457,13 @@ def eval_exported(poly: ExportedPolynomial, z: HPReal,
 
 def eval_monomial(coeffs: Sequence[Fraction], z: HPReal,
                   bits: int) -> HPReal:
-    return _horner([hpf(c, bits) for c in coeffs], z, bits)
-
-
-def _horner(coeffs: Sequence[HPReal], z: HPReal, bits: int) -> HPReal:
-    """Horner's rule at `bits` on coefficients already held as HPReal."""
+    """Horner's rule on the monomial form at `bits`, with no error bound:
+    cancellation can cost about log2(sum |c_j| z^j / |p(z)|) bits, which
+    grows with B.  `eval_exported` is the stable evaluator."""
     zw = z.with_bits(bits)
     acc = hpf(0, bits)
     for c in reversed(coeffs):
-        acc = acc * zw + c
+        acc = acc * zw + hpf(c, bits)
     return acc
 
 
@@ -497,11 +501,14 @@ def export_polynomial(spec: ProblemSpec,
                       cert: DegreeCertificate) -> ExportedPolynomial:
     """Materialize the certified degree-D_upper truncation on [0, B].
 
-    The Chebyshev form keeps full-precision coefficients with radii; the
-    monomial form is produced by one exact integer conversion from the
-    shifted Chebyshev basis, then each coefficient is rounded to a dyadic
-    rational under a per-degree budget so the total rounding error, the
-    truncation tail, and the coefficient radii together stay below delta.
+    The Chebyshev form keeps full-precision coefficients with radii.  The
+    monomial form comes from one exact integer conversion of those values
+    from the shifted Chebyshev basis; each coefficient c_j of z^j is then
+    rounded once to a dyadic r_j under a per-degree budget.  The two forms
+    differ by at most round_err = sum |c_j - r_j| B^j, summed exactly, so
+    certified_sup_bound = truncation tail + coefficient radii + round_err
+    bounds the monomial form's error with no re-evaluation.  Both reported
+    bounds are rounded up.
     """
     if cert.spec is not spec and (cert.spec.B_frac != spec.B_frac
                                   or cert.spec.delta_frac != spec.delta_frac
@@ -536,69 +543,41 @@ def export_polynomial(spec: ProblemSpec,
     pz = [n * scale / Bpow[i] for i, n in enumerate(acc)]
 
     # rounding budget: min of the delta budget, the remaining certificate
-    # margin, and the budget implied by the 2^-40 form-agreement invariant
+    # margin, and 2^-48 min_{[0,B]} f, so round_err <= 2^-48 min_{[0,B]} f
     f_floor = HPReal._wrap(
         mpf_exp(mpf_neg(spec.B.raw), 64, "d"), 64).to_fraction() \
         if spec.target is Target.EXP_NEG else Fraction(1)
     budget_total = min(spec.delta_frac / 4, margin / 2,
                        f_floor * Fraction(1, 1 << 48))
+    mono: list[Fraction] = []
+    round_err = Fraction(0)
+    for j, c in enumerate(pz):
+        bj = budget_total / ((d + 1) * Bpow[j])
+        k = max(1, bj.denominator.bit_length()
+                - bj.numerator.bit_length() + 2)
+        r = _round_dyadic(c, k)
+        mono.append(r)
+        round_err += abs(c - r) * Bpow[j]
     bit_cap = coefficient_bit_budget(d)
-
-    for attempt in range(5):
-        mono: list[Fraction] = []
-        round_err = Fraction(0)
-        for j, c in enumerate(pz):
-            bj = budget_total / ((d + 1) * Bpow[j])
-            k = max(1, bj.denominator.bit_length()
-                    - bj.numerator.bit_length() + 2)
-            r = _round_dyadic(c, k)
-            mono.append(r)
-            round_err += abs(c - r) * Bpow[j]
-        if all(abs(r.numerator).bit_length() <= bit_cap
-               and r.denominator.bit_length() <= bit_cap for r in mono):
-            if _forms_agree(spec, series, mono, p_cert):
-                break
-        else:
-            raise BitBudgetError(
-                f"rounded coefficients exceed the {bit_cap}-bit budget at "
-                f"degree {d}; enlarge the budget polynomial to proceed")
-        budget_total /= 256
-    else:
+    if any(abs(r.numerator).bit_length() > bit_cap
+           or r.denominator.bit_length() > bit_cap for r in mono):
         raise BitBudgetError(
-            "monomial and Chebyshev forms failed to agree within the "
-            "rounding budget; enlarge the bit budget to proceed")
+            f"rounded coefficients exceed the {bit_cap}-bit budget at "
+            f"degree {d}; enlarge the budget polynomial to proceed")
 
-    total = trunc + radii + round_err
-    if not total < spec.delta_frac:
-        raise SoundnessError("certified error budget exceeded at export")
     wb = max(_TAIL_BITS, p_cert)
+    bound = _rounded(trunc + radii + round_err, wb, "c")
+    if not bound.to_fraction() < spec.delta_frac:
+        raise SoundnessError("certified error budget exceeded at export")
     return ExportedPolynomial(
         degree=d,
         domain_B=spec.B,
         cheb_form=series,
         monomial_form=tuple(mono),
-        certified_sup_bound=hpf(total, wb),
-        rounding_bound=hpf(round_err, wb),
+        certified_sup_bound=bound,
+        rounding_bound=_rounded(round_err, wb, "c"),
         precision_bits=p_cert,
     )
-
-
-def _forms_agree(spec: ProblemSpec, series: ChebSeries,
-                 mono: Sequence[Fraction], p_cert: int) -> bool:
-    """Check the two forms agree to 2^-40 relative at 64 Chebyshev nodes."""
-    wb = max(p_cert, 128) + 32
-    _, roots = cheb_extrema_and_roots(64, wb)
-    half_B = spec.B.with_bits(wb).shifted(-1)
-    tol_shift = -40
-    hmono = [hpf(c, wb) for c in mono]
-    for x in roots:
-        z = half_B * (1 + x)
-        cv = eval_cheb_series(series, domain_to_unit(spec, z, wb), wb)
-        mv = _horner(hmono, z, wb)
-        scale = max(abs(cv), abs(mv))
-        if abs(cv - mv) > scale.shifted(tol_shift):
-            return False
-    return True
 
 
 def measure_sup_error(poly: ExportedPolynomial, spec: ProblemSpec,

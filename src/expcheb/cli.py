@@ -52,7 +52,7 @@ def _frac_from_text(text) -> Fraction:
         if isinstance(text, float):
             return Fraction(decimal.Decimal(repr(text)))
         return Fraction(decimal.Decimal(str(text)))
-    except (decimal.InvalidOperation, ValueError, TypeError):
+    except (ArithmeticError, ValueError, TypeError):
         raise DomainError(f"cannot parse number {text!r}") from None
 
 

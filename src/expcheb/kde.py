@@ -125,6 +125,7 @@ from .approx import (
     ExportedPolynomial,
     export_polynomial,
     find_degree,
+    parse_exact,
     problem,
 )
 from .coeffs import Target
@@ -251,14 +252,14 @@ def make_instance(X, Y, w, delta, B=None) -> KdeInstance:
     if not (np.isfinite(X).all() and np.isfinite(Y).all()
             and np.isfinite(w).all()):
         raise DomainError("non-finite input coordinate or weight")
-    delta = delta if isinstance(delta, Fraction) else Fraction(delta)
+    delta = parse_exact(delta)
     if not (0 < delta < 1):
         raise DomainError("delta must lie strictly between 0 and 1")
     estimated = B is None
     if estimated:
         B_frac = Fraction(estimate_diameter_sq(X, Y))
     else:
-        B_frac = Fraction(B)
+        B_frac = parse_exact(B)
     if B_frac < 1:
         B_frac = Fraction(1)
     return KdeInstance(n, m, X, Y, w, delta, B_frac, estimated)

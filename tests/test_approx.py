@@ -1,5 +1,6 @@
 """Degree certificates, regime predictions, and certified polynomial export."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -347,6 +348,110 @@ EXPORT_CASES = (
     (Target.EXP_POS, 12, "1e-3"),
     (Target.EXP_POS, 60, "0.5"),      # saturated growth, degree ~ z* B / 2
 )
+
+
+# wide domains whose monomial form cancels far below double precision;
+# (1000, 5e-4) is kernel_map's problem for a delta = 1e-3 KDE
+WIDE_CASES = (
+    (Target.EXP_NEG, 500, "1e-8"),
+    (Target.EXP_NEG, 1000, "5e-4"),
+)
+
+
+@functools.cache
+def _export(target, B, delta):
+    spec = _spec(target, B, delta)
+    return spec, export_polynomial(spec, find_degree(spec))
+
+
+def _exact_monomials(poly):
+    """The unrounded monomial coefficients of the Chebyshev form, by the
+    three-term recurrence on polynomials in z with x = 2z/B - 1."""
+    B = poly.domain_B.to_fraction()
+    a = [cv.value.to_fraction() for cv in poly.cheb_form.coeffs]
+    out = [a[0] / 2] + [Fraction(0)] * poly.degree
+    prev, cur = [Fraction(1)], [Fraction(-1), 2 / B]
+    for aj in a[1:]:
+        for i, t in enumerate(cur):
+            out[i] += aj * t
+        nxt = [Fraction(0)] * (len(cur) + 1)
+        for i, t in enumerate(cur):
+            nxt[i] -= 2 * t
+            nxt[i + 1] += 4 * t / B
+        for i, t in enumerate(prev):
+            nxt[i] -= t
+        prev, cur = cur, nxt
+    return out
+
+
+def _cheb_at(poly, z: Fraction) -> Fraction:
+    """The Chebyshev form at z, exactly, by T_{j+1} = 2x T_j - T_{j-1}."""
+    x = 2 * z / poly.domain_B.to_fraction() - 1
+    a = [cv.value.to_fraction() for cv in poly.cheb_form.coeffs]
+    total, prev, cur = a[0] / 2, Fraction(1), x
+    for aj in a[1:]:
+        total += aj * cur
+        prev, cur = cur, 2 * x * cur - prev
+    return total
+
+
+def _mono_at(poly, z: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(poly.monomial_form):
+        acc = acc * z + c
+    return acc
+
+
+def _grid(poly, parts: int = 16) -> list[Fraction]:
+    B = poly.domain_B.to_fraction()
+    return [B * k / parts for k in range(parts + 1)]
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("target,B,delta", EXPORT_CASES)
+def test_reported_bounds_round_up(target, B, delta):
+    # both reported bounds lie at or above the exact sums the export
+    # lemma certifies, recomputed here from the Chebyshev form
+    spec, poly = _export(target, B, delta)
+    Bf = spec.B_frac
+    round_err = sum((abs(c - r) * Bf ** j for j, (c, r) in enumerate(
+        zip(_exact_monomials(poly), poly.monomial_form))), Fraction(0))
+    assert poly.rounding_bound.to_fraction() >= round_err
+    trunc = tail_bounds(poly.degree + 1, spec.lam, target, 128).upper
+    radii = sum((cv.radius.to_fraction() for cv in poly.cheb_form.coeffs),
+                Fraction(0))
+    assert poly.certified_sup_bound.to_fraction() \
+        >= trunc.to_fraction() + radii + round_err
+
+
+@pytest.mark.parametrize("target,B,delta", EXPORT_CASES + WIDE_CASES)
+def test_forms_differ_by_at_most_rounding_bound(target, B, delta):
+    spec, poly = _export(target, B, delta)
+    bound = poly.rounding_bound.to_fraction()
+    for z in _grid(poly):
+        assert abs(_mono_at(poly, z) - _cheb_at(poly, z)) <= bound
+    if target is Target.EXP_NEG:
+        # the budget keeps rounding 2^-48 below the smallest value of f
+        with mpmath.workprec(256):
+            assert _mp(bound) <= mpmath.ldexp(mpmath.exp(-_mp(spec.B_frac)),
+                                              -48)
+
+
+@pytest.mark.parametrize("target,B,delta", WIDE_CASES)
+def test_wide_domain_export_holds_against_oracle(target, B, delta):
+    # the monomial form, evaluated exactly, stays within the certified
+    # bound of exp(-z); at z = 0 the gap is about 1e-47 relative, so the
+    # comparison runs at 1024 bits and never through decimal text
+    spec, poly = _export(target, B, delta)
+    bound = poly.certified_sup_bound.to_fraction()
+    assert bound < spec.delta_frac
+    with mpmath.workprec(1024):
+        for z in _grid(poly):
+            err = abs(_mp(_mono_at(poly, z)) - mpmath.exp(-_mp(z)))
+            assert err <= _mp(bound)
 
 
 @pytest.mark.parametrize("target,B,delta", EXPORT_CASES)

@@ -297,6 +297,13 @@ def test_kde_input_validation(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["kde", "--instance", str(path)]) == 2
     capsys.readouterr()
+    # "Infinity" as text and as the JSON literal
+    for key, value in (("delta", "Infinity"), ("B", float("inf"))):
+        doc = _instance_doc(n=4)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["kde", "--instance", str(path)]) == 2
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +360,9 @@ def test_bench_reports_slopes(capsys):
 
 def test_bench_validation(capsys):
     assert main(["bench", "--n", "1,64", "--m", "2", "--B", "4",
+                 "--delta", "1e-2"]) == 2
+    capsys.readouterr()
+    assert main(["bench", "--n", "64", "--m", "2", "--B", "inf",
                  "--delta", "1e-2"]) == 2
     capsys.readouterr()
 

@@ -126,6 +126,12 @@ def test_make_instance_validation():
         make_instance(X, Y, w, 0)
     with pytest.raises(DomainError):
         make_instance(X, Y, w, 1)
+    for bad in (float("inf"), float("nan"), "inf", "nan", "abc",
+                "1e-4000000"):
+        with pytest.raises(DomainError):
+            make_instance(X, Y, w, bad)
+        with pytest.raises(DomainError):
+            make_instance(X, Y, w, "1e-3", B=bad)
 
 
 def test_make_instance_diameter_estimate():
