@@ -118,8 +118,11 @@ def problem(target: Target, B, delta, bits: int = DEFAULT_BITS) -> ProblemSpec:
     """
     if not isinstance(target, Target):
         raise DomainError("target must be a Target")
-    B_text = B if isinstance(B, str) else str(B)
-    delta_text = delta if isinstance(delta, str) else str(delta)
+    try:  # str() refuses ints past Python's 4,300-digit limit
+        B_text, delta_text = (v if isinstance(v, str) else str(v)
+                              for v in (B, delta))
+    except ValueError:
+        raise DomainError("B or delta has too many digits") from None
     B_hp = B if isinstance(B, HPReal) else _rounded(parse_exact(B), bits, "c")
     delta_hp = delta if isinstance(delta, HPReal) \
         else _rounded(parse_exact(delta), bits, "f")
@@ -562,8 +565,8 @@ def export_polynomial(spec: ProblemSpec,
     if any(abs(r.numerator).bit_length() > bit_cap
            or r.denominator.bit_length() > bit_cap for r in mono):
         raise BitBudgetError(
-            f"rounded coefficients exceed the {bit_cap}-bit budget at "
-            f"degree {d}; enlarge the budget polynomial to proceed")
+            f"rounded coefficients exceed the {bit_cap}-bit cap at "
+            f"degree {d}; this B and delta have no exact export")
 
     wb = max(_TAIL_BITS, p_cert)
     bound = _rounded(trunc + radii + round_err, wb, "c")

@@ -512,7 +512,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExpchebError as exc:
-        print(f"soundness error: {exc}", file=sys.stderr)
+        # the error's own kind: "soundness error", "bit budget error", ...
+        kind = "".join(f" {c.lower()}" if c.isupper() else c
+                       for c in type(exc).__name__).strip()
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(out)
     return 0

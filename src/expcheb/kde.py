@@ -5,108 +5,106 @@ v = K w with K[i,j] = exp(-||x_i - y_j||^2), to additive accuracy
 delta * ||w||_1 per entry, in O(n * R) arithmetic instead of n^2:
 
 1. build a certified polynomial p with |p(z) - exp(-z)| <= delta/2 on
-   [0, B], B an upper bound on the squared diameter;
-2. factor p(||x - y||^2) through a = ||x||^2, b = <x, y>, c = ||y||^2.
-   With t = a - 2b + c,
+   [0, B], B an upper bound on the squared diameter, and recentre it:
+   q(s) = p(s + t0), shifted exactly, with t0 = 2 fl(B/4) ~ B/2;
+2. factor p(||x - y||^2) = q(a' - 2b + c') through a' = ||x||^2 - t0/2,
+   b = <x, y> and c' = ||y||^2 - t0/2:
 
-       p(t) = sum_{i+j+k <= d} c_ijk a^i b^j c^k,
-       c_ijk = p_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j,
+       q(s) = sum_{i+j+k <= d} c_ijk a'^i b^j c'^k,
+       c_ijk = q_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j,
 
    and b^j = sum_{|beta| = j} (j! / beta!) x^beta y^beta over the m
    coordinates.  Feature r = (j, i, beta) has the x-side value
-   (j! / beta!) a^i x^beta and the y-side value y^beta h_ij(c) with
-   h_ij(c) = sum_k c_ijk c^k, so K ~ Xmat @ Ymat.T with rank
+   (j! / beta!) a'^i x^beta and the y-side value y^beta h_ij(c') with
+   h_ij(c') = sum_k c_ijk c'^k, so K ~ Xmat @ Ymat.T with rank
    R = sum_j C(m+j-1, j) (d-j+1) = C(m+d+1, d);
 3. stream row chunks of Ymat (reduction s = Ymat.T @ w) and then of
    Xmat (output v = Xmat @ s) through BLAS, never holding n x R.
 
-h_ij is evaluated as (-2)^j C(i+j, i) g_{i+j}(c) with
-g_s(c) = sum_k c_{s,0,k} c^k, which is exact algebra
+h_ij is evaluated as (-2)^j C(i+j, i) g_{i+j}(c') with
+g_s(c') = sum_k c_{s,0,k} c'^k, which is exact algebra
 (c_ijk = (-2)^j C(i+j, i) c_{i+j,0,k}), so only d + 1 Horner
-polynomials run per row.
+polynomials run per row.  The recentring is Higham's cure for an
+ill-conditioned sum (Accuracy and Stability of Numerical Algorithms,
+5.1): p's absolute sum P_abs(t) = sum |p_k| t^k grows like e^t on
+[0, B], while q's coefficients are about e^-t0 (-1)^k / k!.  A nonzero
+table entry that is not a normal double raises SoundnessError.
 
 Floating-point error is charged against the remaining delta/2 budget.
-Every elementary term T = c_ijk (j!/beta!) a^i x^beta y^beta c^k w_n
+The rows take a' = fl(fl(||x'||^2) - t0/2) and c' likewise as data.
+Every elementary term T = c_ijk (j!/beta!) a'^i x^beta y^beta c'^k w_n
 reaches v_i through at most N roundings, each obeying the standard model
-fl(a op b) = (a op b)(1 + e), |e| <= u (Higham, Accuracy and Stability of
-Numerical Algorithms, 2.2):
+fl(a op b) = (a op b)(1 + e), |e| <= u (Higham, 2.2):
 
-* x side: a = sum_l x_l^2 (m), a^i by repeated products (i m + i - 1),
-  the weight j!/beta! as a double (1), x^beta by parent-pointer products
-  (j - 1), two products (2): at most i (m+1) + j + 3;
-* y side: c (k m for c^k), the Horner coefficient c_{s,0,k} as a double
-  (1), Horner on g_s (2k + 1), the scale (-2)^j C(i+j, i) as a double
-  and its product (2), y^beta (j - 1), one product (1): at most
-  k (m+2) + j + 5;
+* x side: the weight j!/beta! as a double and its product (2), x^beta
+  (j - 1), a'^i (i - 1), one product (1): at most i + j + 3;
+* y side: the Horner coefficient as a double (1), Horner on g_s
+  (2k + 1), the scale (-2)^j C(i+j, i) as a double and its product (2),
+  y^beta (j - 1), one product (1): at most 2k + j + 5;
 * reduction (one product, n - 1 sums) and output (R products and sums):
   n + R, in any summation order and any chunking.
 
-With i + k <= d - j and 2j <= j (m+2) the total is
-
-    N = n + R + d (m + 2) + 8,                         (gamma_ops)
-
-so |v_i - fl(v_i)| <= gamma_N A_i, gamma_N = N u / (1 - N u), where
-A_i = sum_n |w_n| sum |T| is the same feature map applied to |x|, |y| and
-|c_ijk|.
+With i + j + k <= d the total is N = n + R + 2d + 8 (gamma_ops), so
+|v_i - fl(v_i)| <= gamma_N A_i, gamma_N = N u / (1 - N u), where
+A_i = sum_n |w_n| sum |T|.
 
 kde_matvec centers the instance once, on the float midrange c of the
-pooled points, and hands the centered instance to every pass; the
-Gaussian kernel is translation-invariant, so it is the same problem.
-x' = fl(x - c) has |x'_l - (x_l - c_l)| <= u r_l with r_l the pooled
-range of coordinate l.  With s_l = x_l - y_l and s'_l = x'_l - y'_l,
-|s'_l^2 - s_l^2| <= 2u r_l^2 (1 + 4u), and r_l^2 <= 4B because any two
-pooled points are within 2 sqrt(B) through a third.  p is evaluated at
-the perturbed squared distance t', and exp(-t) is 1-Lipschitz on
-t >= 0, so each kernel value moves by at most
+pooled points (the kernel is translation-invariant).  x' = fl(x - c) is
+within u r_l of x_l - c_l, r_l the pooled range of coordinate l, and
+r_l^2 <= 4B (any two pooled points are within 2 sqrt(B) through a
+third), so t' = ||x' - y'||^2 is within 8 m B u (1 + 4u) of t.  The
+squared norms' roundings are relative to ||x'||^2, not to the smaller
+|a'| that cancellation can leave, so they are charged here and not in N:
+|a' - (||x'||^2 - t0/2)| <= gamma_m ||x'||^2 + u/(1 - u) |a'|, and
+likewise for c'.  exp(-t) is 1-Lipschitz on t >= 0, so each kernel
+value moves by at most
 
-    sum_l |s'_l^2 - s_l^2| <= 8 m B u (1 + 4u),          (shift_slack)
+    8 m B u (1 + 4u) + e_a + e_c,                        (shift_slack)
 
-charged times ||w||_1 (for t' <= B, where p is certified).  The float
+with e_a, e_c the maxima of those bounds over the rows, charged times
+||w||_1 (for evaluated arguments in [0, B], where p is certified).  The
 budget delta/2 ||w||_1 is rounded down, and shift_slack and
-float_error_bound up, each from a float ||w||_1 within a factor 1 +- u
-of the exact one.
+float_error_bound up, from a float ||w||_1 within 1 +- u of the exact.
 
-When plain double precision cannot meet the budget the matvec escalates
-to double-double arithmetic end to end, with the same N counted twice
-at unit 2^-104 = 4u^2: double-double sums (<= 3u^2 operand-wise) and
-products by a double (<= 2u^2) take one unit, products of two
-double-doubles (<= 7u^2, Joldes, Muller and Popescu, TOMS 2017) two.
+The compensated rung keeps the same double rows and makes only the sums
+error-free or compensated (Ogita, Rump and Oishi, SISC 2005): exact
+products with w (two_prod), double-double sums (<= 3u^2 operand-wise),
+a product by the double-double s (<= 2u^2), one unit of 2^-104 = 4u^2
+each, then one rounding of the output to a double.  The rows and that
+rounding take gamma_{2d+9} at u, the sums gamma_{n+R} at 2^-104, and as
+gamma_{2d+9} <= 1 a second gamma_{n+R} covers their cross term, so its
+error is at most (gamma_{2d+9}(u) + gamma_{2(n+R)}(2^-104)) A_i.
 
 The precision is chosen before any feature row is built, from two
-O(nm + d) bounds on max_i A_i.  With a_i = ||x'_i||^2, c_n = ||y'_n||^2
-and |c_ijk| = |p_s| s! / (i! j! k!) 2^j for s = i + j + k, summing the
-terms of A_i over beta and over i + j + k = s undoes the factorization
-(multinomial theorem, twice):
+O(nm + d) bounds on max_i A_i.  With |c_ijk| = |q_s| s! / (i! j! k!) 2^j
+for s = i + j + k, summing the terms of A_i over beta and over
+i + j + k = s undoes the factorization (multinomial theorem, twice):
 
-    A_i = sum_n |w_n| P_abs(a_i + 2 <|x'_i|, |y'_n|> + c_n),
-    P_abs(t) = sum_k |p_k| t^k,
+    A_i = sum_n |w_n| Q_abs(|a'_i| + 2 <|x'_i|, |y'_n|> + |c'_n|),
 
-the same polynomial with its coefficients' absolute values, whose value
-over |p(t)| is the condition number of evaluating p (Higham, 5.1).
-P_abs is nondecreasing on t >= 0 and <|x|, |y|> <= sqrt(a c) by
-Cauchy-Schwarz, so
+with Q_abs(s) = sum_k |q_k| s^k, whose ratio to |q(s)| is the condition
+number of evaluating q.  Q_abs is nondecreasing on s >= 0 and
+<|x|, |y|> <= sqrt(a c) by Cauchy-Schwarz (a, c the squared norms), so
 
-    A_lo = ||w||_1 P_abs(a_max) <= max_i A_i
-         <= ||w||_1 P_abs(a_max + 2 sqrt(a_max c_max) + c_max) = A_hi.
+    A_lo = ||w||_1 Q_abs(max |a'|) <= max_i A_i
+         <= ||w||_1 Q_abs(max |a'| + 2 sqrt(a_max c_max) + max |c'|) = A_hi,
 
-Both are evaluated exactly in rationals from float inputs rounded
-outward.  A float sum of m squares is within gamma_m of the exact one
-and a float ||w||_1 within gamma_n, so the inputs to A_hi are divided by
-1 - gamma and rounded up, those to A_lo multiplied by 1 - gamma and
-rounded down, and the square root is rounded up.  The measured pass is
-the plain matvec of the majorant (|x'|, |y'|, |w|, |Horner coefficients|
-and |pair scales|), so it sums nonnegative data: its float max_i A_i is
-at least (1 - gamma_N) max_i A_i, and gamma_N / (1 - gamma_N) times it
-bounds the error.
+evaluated exactly in rationals: max |a'|, max |c'| are the rows' own
+doubles, the float maxima of the squared norms are divided by
+1 - gamma_m and rounded up, the square root is rounded up, and a float
+||w||_1 within gamma_n of the exact one is divided by 1 - gamma_n in A_hi
+and multiplied by it in A_lo.  The measured pass is the plain matvec of
+the majorant (|x'|, |y'|, |a'|, |c'|, |w|, |Horner coefficients| and
+|pair scales|), nonnegative data, so its float max_i A_i over
+1 - gamma_N bounds max_i A_i.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
-(gamma_N at unit u) and then double-double (gamma_2N at unit 2^-104).
-A rung bounds the error by gamma_k A + shift_slack, in rationals rounded
-up, and takes A = A_hi when that meets the budget.  It fails without a
-pass when A = A_lo misses it: the measured A = fl(max_i A_i) /
-(1 - gamma_N) is at least A_lo.  Otherwise the measured pass, run at
-most once per call, decides it.  SoundnessError ends a ladder
-whose last rung fails.
+and then the compensated rung.  A rung bounds the error by its
+coefficient times A plus shift_slack, in rationals rounded up, and takes
+A = A_hi when that meets the budget.  It fails without a pass when
+A = A_lo misses it: the measured A is at least A_lo.  Otherwise the
+measured pass, run at most once per call, decides it.  SoundnessError
+ends a ladder whose last rung fails.
 """
 
 from __future__ import annotations
@@ -135,8 +133,8 @@ from .special import critical_constant_neg
 
 MAX_COLUMNS = 2_000_000
 MAX_MATRIX_BYTES = 2_000_000_000
-_CHUNK_BYTES = 16_000_000    # one chunk of feature rows (plain path)
-_DD_CHUNK_BYTES = 1_000_000  # one chunk of feature rows, hi part (dd path)
+_CHUNK_BYTES = 8_000_000     # one chunk of feature rows (plain path)
+_DD_CHUNK_BYTES = 1_000_000  # one chunk of feature rows (compensated path)
 
 _EPS = 2.0 ** -53
 _EPS_DD = 2.0 ** -104
@@ -163,7 +161,9 @@ class FeatureMap:
     says that monomials dst..dst+count-1 are monomials src..src+count-1
     times coordinate var, their parent links in run-length form.  Column
     r = (j, i, beta) of the feature matrices runs over levels j, then
-    i = 0..d-j, then the level's monomials beta.
+    i = 0..d-j, then the level's monomials beta.  The tables factor
+    q(s) = p(s + 2 shift), and the rows subtract `shift` = t0/2 from the
+    squared norms.
     """
     m: int
     d: int
@@ -174,21 +174,30 @@ class FeatureMap:
     horner: np.ndarray        # [s, k] = c_{s,0,k}, as doubles
     pair_scale: np.ndarray    # [j, i] = (-2)^j C(i+j, i), zero for i > d-j
     poly: ExportedPolynomial
+    shift: float              # t0/2, with t0 = 2 fl(B/4) ~ B/2
+    shifted: tuple[Fraction, ...]  # q_k, exact: q(s) = p(s + t0)
+    absolute: bool = False    # the majorant: rows use |a'| and |c'|
 
     @property
     def rank(self) -> int:
         return feature_count(self.m, self.d)
+
+    def majorant(self) -> FeatureMap:
+        """The map of the absolute-value majorant: |Horner coefficients|,
+        |pair scales|, and |a'|, |c'| in the rows."""
+        return replace(self, horner=np.abs(self.horner),
+                       pair_scale=np.abs(self.pair_scale), absolute=True)
 
 
 @dataclass
 class KdeResult:
     """Output of kde_matvec.
 
-    `elapsed_build` is the plain-double work outside the value products:
-    building the plain feature rows, plus the absolute-value pass when the
-    a priori bound misses the budget.  It is 0 when the double-double path
-    is chosen from the a priori bounds alone.  `elapsed_matvec` is the
-    rest: the bounds, the plain BLAS products or the double-double pass.
+    `elapsed_build` is the time spent building the plain pass's feature
+    rows, plus the absolute-value pass when the a priori bound misses the
+    budget.  It is 0 when the compensated path is chosen from the a priori
+    bounds alone.  `elapsed_matvec` is the rest: the bounds, the plain
+    BLAS products or the compensated pass, its rows included.
     `float_bound_source` says which bound certified the run: "a-priori"
     (the O(nm + d) bound A_hi) or "measured" (the absolute-value pass).
     """
@@ -219,12 +228,14 @@ def _check_rank(m: int, d: int) -> None:
 def estimate_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
     """Sum of squared per-coordinate ranges over the pooled points.
 
-    An O(nm) upper bound on the true squared diameter, so a polynomial
-    certified on [0, B-hat] covers every pairwise distance.
+    An O(nm) upper bound on the true squared diameter, summed exactly and
+    rounded up, so a polynomial certified on [0, B-hat] covers every
+    pairwise distance.
     """
     pooled = np.vstack([X, Y])
-    ranges = pooled.max(axis=0) - pooled.min(axis=0)
-    return float(np.dot(ranges, ranges))
+    return _round_up(sum((Fraction(hi) - Fraction(lo)) ** 2 for hi, lo in
+                         zip(pooled.max(axis=0).tolist(),
+                             pooled.min(axis=0).tolist())))
 
 
 def measured_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
@@ -315,24 +326,50 @@ def _multinomial(beta) -> int:
     return out
 
 
-def _exact_tables(poly: ExportedPolynomial, exponents: np.ndarray, d: int):
+def _shift_coefficients(p, t0: Fraction) -> tuple[Fraction, ...]:
+    """Coefficients of q(s) = p(s + t0), exactly (Horner's Taylor shift)."""
+    q = [Fraction(c) for c in p]
+    for i in range(len(q) - 1):
+        for k in range(len(q) - 2, i - 1, -1):
+            q[k] += t0 * q[k + 1]
+    return tuple(q)
+
+
+def _exact_tables(q, exponents: np.ndarray, d: int):
     """The feature map's tables, exact: weights j! / beta! per monomial,
-    Horner coefficients [s, k] = c_{s,0,k} = p_{s+k} C(s+k, s) and pair
+    Horner coefficients [s, k] = c_{s,0,k} = q_{s+k} C(s+k, s) and pair
     scales [j, i] = (-2)^j C(i+j, i), zero for i > d-j."""
-    p = list(poly.monomial_form) + [Fraction(0)] * (d + 1)
+    q = list(q) + [Fraction(0)] * (d + 1)
     return ([_multinomial(b) for b in exponents],
-            [[p[s + k] * math.comb(s + k, s) for k in range(d + 1)]
+            [[q[s + k] * math.comb(s + k, s) for k in range(d + 1)]
              for s in range(d + 1)],
             [[(-2) ** j * math.comb(i + j, i) if i + j <= d else 0
               for i in range(d + 1)] for j in range(d + 1)])
 
 
-def expand_kernel_poly(poly: ExportedPolynomial, m: int) -> FeatureMap:
-    """Factor p(||x - y||^2) through (||x||^2, <x, y>, ||y||^2).
+def _normal_doubles(table) -> np.ndarray:
+    """An exact table as doubles; the rounding model admits no nonzero
+    entry that overflows or rounds to a subnormal or zero."""
+    exact = np.array(table, dtype=object)
+    try:
+        out = exact.astype(np.float64)
+        normal = (np.abs(out) >= sys.float_info.min)[exact != 0].all()
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise SoundnessError("the kernel tables leave the normal double "
+                             "range; B is too wide for one feature map")
+    return out
 
-    The Horner coefficients c_{s,0,k} and pair scales come from p's dyadic
-    monomial form; the monomials over the m coordinates carry parent
-    pointers for incremental evaluation.
+
+def expand_kernel_poly(poly: ExportedPolynomial, m: int) -> FeatureMap:
+    """Factor p(||x - y||^2) = q(a' - 2b + c') through a' = ||x||^2 - t0/2,
+    b = <x, y> and c' = ||y||^2 - t0/2, with q(s) = p(s + t0) and
+    t0 = 2 fl(B/4) for p's domain [0, B].
+
+    The Horner coefficients c_{s,0,k} and pair scales come from q, shifted
+    exactly from p's dyadic monomial form; the monomials over the m
+    coordinates carry parent pointers for incremental evaluation.
     """
     if m < 1:
         raise DomainError("m must be positive")
@@ -342,23 +379,25 @@ def expand_kernel_poly(poly: ExportedPolynomial, m: int) -> FeatureMap:
         if c.denominator & (c.denominator - 1):
             raise SoundnessError("polynomial coefficients are not dyadic")
 
+    shift = float(poly.domain_B.to_fraction() / 4)
+    shifted = _shift_coefficients(poly.monomial_form, 2 * Fraction(shift))
     exponents, runs, level_starts = _monomial_tree(m, d)
     weights, horner, pair_scale = (
-        np.array(t, dtype=np.float64)
-        for t in _exact_tables(poly, exponents, d))
+        _normal_doubles(t) for t in _exact_tables(shifted, exponents, d))
     return FeatureMap(m, d, exponents, runs, level_starts, weights, horner,
-                      pair_scale, poly)
+                      pair_scale, poly, shift, shifted)
 
 
 def reconstruct_feature_value(fm: FeatureMap, x, y) -> Fraction:
     """Exact sum_r Xmat_r(x) Ymat_r(y) of the map at one (x, y) pair, with
-    c_ijk = p_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j taken from p itself."""
+    a' = ||x||^2 - t0/2 and c' = ||y||^2 - t0/2 exact and
+    c_ijk = q_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j taken from q itself."""
     xs = [Fraction(v) for v in x]
     ys = [Fraction(v) for v in y]
-    a = sum(v * v for v in xs)
-    c = sum(v * v for v in ys)
+    a = sum(v * v for v in xs) - Fraction(fm.shift)
+    c = sum(v * v for v in ys) - Fraction(fm.shift)
     d = fm.d
-    p = list(fm.poly.monomial_form) + [Fraction(0)] * (d + 1)
+    q = list(fm.shifted) + [Fraction(0)] * (d + 1)
     total = Fraction(0)
     for beta in fm.exponents:
         j = int(beta.sum())
@@ -368,7 +407,7 @@ def reconstruct_feature_value(fm: FeatureMap, x, y) -> Fraction:
             xb *= xv ** int(e)
             yb *= yv ** int(e)
         for i in range(d - j + 1):
-            h = sum(p[i + j + k] * _multinomial((i, j, k)) * (-2) ** j
+            h = sum(q[i + j + k] * _multinomial((i, j, k)) * (-2) ** j
                     * c ** k for k in range(d - i - j + 1))
             total += (xb * a ** i) * (yb * h)
     return total
@@ -399,13 +438,28 @@ def _level_blocks(fm: FeatureMap, out: np.ndarray):
         col += width
 
 
+def _norm_sq(P: np.ndarray) -> np.ndarray:
+    """fl(||p||^2) per row, summed in coordinate order, so that a chunk of
+    rows gets the same doubles as the whole."""
+    s = P[:, 0] * P[:, 0]
+    for l in range(1, P.shape[1]):
+        s += P[:, l] * P[:, l]
+    return s
+
+
+def _shifted_norms(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
+    """a' = fl(fl(||p||^2) - t0/2) per row; |a'| for the majorant."""
+    a = _norm_sq(P) - fm.shift
+    return np.abs(a, out=a) if fm.absolute else a
+
+
 def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    """Xmat rows: (j! / beta!) a^i x^beta."""
+    """Xmat rows: (j! / beta!) a'^i x^beta."""
     mono = _monomial_rows(P, fm)
     mono *= fm.weights
     apow = np.empty((P.shape[0], fm.d + 1))
     apow[:, 0] = 1.0
-    apow[:, 1] = (P * P).sum(axis=1)
+    apow[:, 1] = _shifted_norms(P, fm)
     for i in range(2, fm.d + 1):
         np.multiply(apow[:, i - 1], apow[:, 1], out=apow[:, i])
     out = np.empty((P.shape[0], fm.rank))
@@ -415,9 +469,9 @@ def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
 
 
 def _y_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    """Ymat rows: y^beta h_ij(c)."""
+    """Ymat rows: y^beta h_ij(c')."""
     mono = _monomial_rows(P, fm)
-    c = (P * P).sum(axis=1)[:, None]
+    c = _shifted_norms(P, fm)[:, None]
     g = np.zeros((P.shape[0], fm.d + 1))
     for k in range(fm.d, -1, -1):
         g *= c
@@ -435,8 +489,8 @@ def build_feature_matrices(inst: KdeInstance, fm: FeatureMap,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows of the points X[x_rows] and Y[y_rows] in float64.
 
-    Row i of Xmat holds (j! / beta!) a^i x^beta and row j of Ymat holds
-    y^beta h_ij(c) over the columns r = (j, i, beta), so
+    Row i of Xmat holds (j! / beta!) a'^i x^beta and row j of Ymat holds
+    y^beta h_ij(c') over the columns r = (j, i, beta), so
     K[x_rows, y_rows] ~ Xmat @ Ymat.T.
     """
     Xp, Yp = inst.X[x_rows], inst.Y[y_rows]
@@ -515,82 +569,6 @@ def _dd_sum_tree(hi: np.ndarray, lo: np.ndarray):
     return hi[0], lo[0]
 
 
-def _dd_split(values) -> tuple[np.ndarray, np.ndarray]:
-    """Exact rationals or integers as (hi, lo) double pairs."""
-    vals = np.asarray(values, dtype=object)
-    hi = np.array([float(v) for v in vals.flat]).reshape(vals.shape)
-    lo = np.array([float(Fraction(v) - Fraction(h))
-                   for v, h in zip(vals.flat, hi.flat)]).reshape(vals.shape)
-    return hi, lo
-
-
-def _dd_norm_sq(P: np.ndarray):
-    sh = np.zeros(P.shape[0])
-    sl = np.zeros(P.shape[0])
-    for l in range(P.shape[1]):
-        sh, sl = _dd_add(sh, sl, *_two_prod(P[:, l], P[:, l]))
-    return sh, sl
-
-
-def _dd_monomial_rows(P: np.ndarray, fm: FeatureMap):
-    T = fm.level_starts[-1]
-    hi = np.empty((P.shape[0], T))
-    lo = np.zeros((P.shape[0], T))
-    hi[:, 0] = 1.0
-    for dst, src, count, var in fm.runs:
-        hi[:, dst:dst + count], lo[:, dst:dst + count] = _dd_mul(
-            hi[:, src:src + count], lo[:, src:src + count], P[:, var, None],
-            0.0)
-    return hi, lo
-
-
-def _dd_tables(fm: FeatureMap):
-    """Weights, Horner coefficients and pair scales as exact (hi, lo)."""
-    return tuple(_dd_split(t)
-                 for t in _exact_tables(fm.poly, fm.exponents, fm.d))
-
-
-def _x_rows_dd(P: np.ndarray, fm: FeatureMap, tables):
-    mh, ml = _dd_monomial_rows(P, fm)
-    mh, ml = _dd_mul(mh, ml, *tables[0])
-    ah, al = _dd_norm_sq(P)
-    rows = P.shape[0]
-    ph = np.empty((rows, fm.d + 1))
-    pl = np.empty((rows, fm.d + 1))
-    ph[:, 0], pl[:, 0] = 1.0, 0.0
-    for i in range(1, fm.d + 1):
-        ph[:, i], pl[:, i] = _dd_mul(ph[:, i - 1], pl[:, i - 1], ah, al)
-    hi = np.empty((rows, fm.rank))
-    lo = np.empty((rows, fm.rank))
-    for (j, sl, vh), (_, _, vl) in zip(_level_blocks(fm, hi),
-                                        _level_blocks(fm, lo)):
-        k = fm.d - j + 1
-        vh[...], vl[...] = _dd_mul(mh[:, None, sl], ml[:, None, sl],
-                                   ph[:, :k, None], pl[:, :k, None])
-    return hi, lo
-
-
-def _y_rows_dd(P: np.ndarray, fm: FeatureMap, tables):
-    mh, ml = _dd_monomial_rows(P, fm)
-    ch, cl = _dd_norm_sq(P)
-    ch, cl = ch[:, None], cl[:, None]
-    rows = P.shape[0]
-    gh = np.zeros((rows, fm.d + 1))
-    gl = np.zeros((rows, fm.d + 1))
-    _, (qh, ql), (sh, sl_) = tables
-    for k in range(fm.d, -1, -1):
-        gh, gl = _dd_add(*_dd_mul(gh, gl, ch, cl), qh[:, k], ql[:, k])
-    hi = np.empty((rows, fm.rank))
-    lo = np.empty((rows, fm.rank))
-    for (j, sl, vh), (_, _, vl) in zip(_level_blocks(fm, hi),
-                                        _level_blocks(fm, lo)):
-        k = fm.d - j + 1
-        hh, hl = _dd_mul(gh[:, j:], gl[:, j:], sh[j, :k], sl_[j, :k])
-        vh[...], vl[...] = _dd_mul(mh[:, None, sl], ml[:, None, sl],
-                                   hh[:, :, None], hl[:, :, None])
-    return hi, lo
-
-
 # ---------------------------------------------------------------------------
 # the matvec
 
@@ -602,7 +580,7 @@ def _gamma(k: int, unit):
 
 def gamma_ops(n: int, fm: FeatureMap) -> int:
     """Roundings on the path of one elementary term (module docstring)."""
-    return n + fm.rank + fm.d * (fm.m + 2) + 8
+    return n + fm.rank + 2 * fm.d + 8
 
 
 def _round_up(q: Fraction) -> float:
@@ -623,50 +601,60 @@ def _round_down(q: Fraction) -> float:
     return f if Fraction(f) <= q else math.nextafter(f, 0.0)
 
 
+def _norm_maxima(P: np.ndarray, fm: FeatureMap) -> tuple[Fraction, float]:
+    """(max |a'|, an upper bound on max ||p||^2) over the rows of P: the
+    first from the rows' own doubles, the second the float maximum over
+    1 - gamma_m, rounded up."""
+    s = _norm_sq(P)
+    s_max = float(s.max())
+    g = _gamma(P.shape[1], Fraction(_EPS))
+    hi = _round_up(Fraction(s_max) / (1 - g)) if math.isfinite(s_max) \
+        else math.inf
+    if hi == math.inf:
+        raise DomainError("squared norms of the centered coordinates "
+                          "overflow double precision")
+    return Fraction(float(np.abs(s - fm.shift).max())), hi
+
+
 def _abs_sum_bounds(Xp: np.ndarray, Yp: np.ndarray, w: np.ndarray,
                     fm: FeatureMap) -> tuple[Fraction, Fraction]:
     """(A_lo, A_hi) with A_lo <= max_i A_i <= A_hi, in O(nm + d), from the
     centered coordinates Xp, Yp (module docstring)."""
-    u = Fraction(_EPS)
-    p_abs = [abs(c) for c in fm.poly.monomial_form]
+    q_abs = [abs(c) for c in fm.shifted]
 
-    def P_abs(t: Fraction) -> Fraction:
+    def Q_abs(s: Fraction) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(p_abs):
-            acc = acc * t + c
+        for c in reversed(q_abs):
+            acc = acc * s + c
         return acc
 
-    def norm_sq_max(P: np.ndarray) -> tuple[float, float]:
-        fl = float((P * P).sum(axis=1).max())
-        g = _gamma(P.shape[1], u)
-        hi = _round_up(Fraction(fl) / (1 - g)) if math.isfinite(fl) \
-            else math.inf
-        if hi == math.inf:
-            raise DomainError("squared norms of the centered coordinates "
-                              "overflow double precision")
-        return _round_down(Fraction(fl) * (1 - g)), hi
-
-    a_lo, a_hi = norm_sq_max(Xp)
-    _, c_hi = norm_sq_max(Yp)
+    a_abs, a_hi = _norm_maxima(Xp, fm)
+    c_abs, c_hi = _norm_maxima(Yp, fm)
     s = math.sqrt(a_hi) * math.sqrt(c_hi)
     while Fraction(s) ** 2 < Fraction(a_hi) * Fraction(c_hi):
         s = math.nextafter(s, math.inf)
     w_fl = Fraction(float(np.abs(w).sum()))
-    g = _gamma(w.shape[0], u)
-    t_hi = Fraction(a_hi) + 2 * Fraction(s) + Fraction(c_hi)
-    return (w_fl * (1 - g) * P_abs(Fraction(a_lo)),
-            w_fl / (1 - g) * P_abs(t_hi))
+    g = _gamma(w.shape[0], Fraction(_EPS))
+    return (w_fl * (1 - g) * Q_abs(a_abs),
+            w_fl / (1 - g) * Q_abs(a_abs + 2 * Fraction(s) + c_abs))
 
 
-def _budget(inst: KdeInstance) -> tuple[float, float, Fraction]:
+def _budget(inst: KdeInstance, fm: FeatureMap
+            ) -> tuple[float, float, Fraction]:
     """(budget, shift_slack, w_lo): the float half of delta times ||w||_1
-    rounded down, the centering allowance 8 m B u (1 + 4u) ||w||_1 rounded
-    up, and a lower bound on ||w||_1.  math.fsum rounds the exact ||w||_1
-    to nearest, so it is within a factor 1 +- u of it."""
+    rounded down, the allowance for the moved arguments times ||w||_1
+    rounded up (module docstring), and a lower bound on ||w||_1.
+    math.fsum rounds the exact ||w||_1 to nearest, so it is within a
+    factor 1 +- u of it."""
     u = Fraction(_EPS)
+    g = _gamma(inst.m, u)
+    moved = 8 * inst.m * inst.B * u * (1 + 4 * u)
+    for abs_max, norm_hi in (_norm_maxima(inst.X, fm),
+                             _norm_maxima(inst.Y, fm)):
+        moved += g * Fraction(norm_hi) + u / (1 - u) * abs_max
     w_fl = Fraction(math.fsum(np.abs(inst.w).tolist()))
     return (_round_down(inst.delta / 2 * (1 - u) * w_fl),
-            _round_up(8 * inst.m * inst.B * u * (1 + 4 * u) * (1 + u) * w_fl),
+            _round_up(moved * (1 + u) * w_fl),
             (1 - u) * w_fl)
 
 
@@ -681,7 +669,7 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
 
     `force` is None (auto), "plain" (stay in double precision; raises
     SoundnessError if the budget check fails), or "high" (always use the
-    double-double path end to end).
+    compensated path: the same double rows, double-double sums).
     """
     if force not in (None, "plain", "high"):
         raise DomainError("force must be None, 'plain', or 'high'")
@@ -700,17 +688,23 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
     inst = replace(inst, X=inst.X - center, Y=inst.Y - center)
     if not (np.isfinite(inst.X).all() and np.isfinite(inst.Y).all()):
         raise DomainError("non-finite input coordinate")
-    budget, shift_slack, w_lo = _budget(inst)
+    budget, shift_slack, w_lo = _budget(inst, fm)
     N = gamma_ops(inst.n, fm)
     slack = Fraction(shift_slack)
+    u = Fraction(_EPS)
+    sums = inst.n + fm.rank
+    # plain: gamma_N at u; compensated: the rows' roundings and the final
+    # one at u, and 2 (n + R) units of 2^-104 for the sums
+    rungs = [(False, _gamma(N, u)),
+             (True, _gamma(N - sums + 1, u)
+              + _gamma(2 * sums, Fraction(_EPS_DD)))]
 
     t0 = time.perf_counter()
     A_lo, A_hi = _abs_sum_bounds(inst.X, inst.Y, inst.w, fm)
     A_measured = None   # fl(max_i A_i) / (1 - gamma_N), measured at most once
     build_s = 0.0
-    rungs = [(N, _EPS), (2 * N, _EPS_DD)]
-    for k, unit in {None: rungs, "plain": rungs[:1], "high": rungs[1:]}[force]:
-        g = _gamma(k, Fraction(unit))
+    for use_high, g in {None: rungs, "plain": rungs[:1],
+                        "high": rungs[1:]}[force]:
         bound = _round_up(g * A_hi + slack)
         source = "a-priori"
         if bound > budget and _round_up(g * A_lo + slack) <= budget:
@@ -718,7 +712,7 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
                 t = time.perf_counter()
                 a = _abs_pass(inst, fm)
                 # an overflowed pass measures nothing past A_hi
-                A_measured = Fraction(a) / (1 - _gamma(N, Fraction(_EPS))) \
+                A_measured = Fraction(a) / (1 - _gamma(N, u)) \
                     if math.isfinite(a) else A_hi
                 build_s += time.perf_counter() - t
             bound = _round_up(g * A_measured + slack)
@@ -727,11 +721,10 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
             break
     else:
         raise SoundnessError(
-            f"{'high' if unit == _EPS_DD else 'double'}-precision error "
+            f"{'high' if use_high else 'double'}-precision error "
             f"bound {bound:g} exceeds the budget {budget:g}"
             + ("; drop force='plain'" if force == "plain" else ""))
 
-    use_high = unit == _EPS_DD
     if use_high:
         v = _matvec_dd(inst, fm)
     else:
@@ -749,19 +742,16 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
 
 def _abs_pass(inst: KdeInstance, fm: FeatureMap) -> float:
     """max_i fl(A_i) of a centered instance: the plain matvec of the
-    majorant, on |x'|, |y'|, |w| with |Horner coefficients| and |pair
-    scales|."""
+    majorant, on |x'|, |y'|, |w| with the map's majorant."""
     majorant = replace(inst, X=np.abs(inst.X), Y=np.abs(inst.Y),
                        w=np.abs(inst.w))
-    fm_abs = replace(fm, horner=np.abs(fm.horner),
-                     pair_scale=np.abs(fm.pair_scale))
-    return float(_matvec_plain(majorant, fm_abs)[0].max())
+    return float(_matvec_plain(majorant, fm.majorant())[0].max())
 
 
 def _matvec_plain(inst: KdeInstance, fm: FeatureMap
                   ) -> tuple[np.ndarray, float]:
     """Streamed BLAS passes; returns v and the time spent building
-    feature rows."""
+    feature rows.  Each chunk is freed before the next is built."""
     empty = slice(0, 0)
     chunks = _chunks(inst.n, fm.rank, _CHUNK_BYTES)
     svec = np.zeros(fm.rank)
@@ -771,37 +761,37 @@ def _matvec_plain(inst: KdeInstance, fm: FeatureMap
         _, Yc = build_feature_matrices(inst, fm, empty, rows)
         feat_s += time.perf_counter() - t
         svec += Yc.T @ inst.w[rows]
+        del Yc
     parts = []
     for rows in chunks:
         t = time.perf_counter()
         Xc, _ = build_feature_matrices(inst, fm, rows, empty)
         feat_s += time.perf_counter() - t
         parts.append(Xc @ svec)
+        del Xc
     return np.concatenate(parts), feat_s
 
 
 def _matvec_dd(inst: KdeInstance, fm: FeatureMap) -> np.ndarray:
-    """Double-double end to end over streamed chunks of feature rows."""
-    w = inst.w
-    tables = _dd_tables(fm)
-
-    def reduce(rows):
-        yh, yl = _y_rows_dd(inst.Y[rows], fm, tables)
-        th, tl = _dd_mul(yh, yl, w[rows, None], 0.0)
-        return _dd_sum_tree(th, tl)
-
-    def output(rows):
-        xh, xl = _x_rows_dd(inst.X[rows], fm, tables)
-        th, tl = _dd_mul(xh, xl, sh, sl)
-        vh, vl = _dd_sum_tree(th.T, tl.T)
-        return vh + vl
-
+    """The plain double rows with error-free products by w, double-double
+    reduction and output sums, and a double-double product by s."""
+    empty = slice(0, 0)
     chunks = _chunks(inst.n, fm.rank, _DD_CHUNK_BYTES)
     sh = np.zeros(fm.rank)
     sl = np.zeros(fm.rank)
-    for ph, pl in map(reduce, chunks):
+    for rows in chunks:
+        _, Yc = build_feature_matrices(inst, fm, empty, rows)
+        ph, pl = _dd_sum_tree(*_two_prod(Yc, inst.w[rows, None]))
+        del Yc
         sh, sl = _dd_add(sh, sl, ph, pl)
-    return np.concatenate([output(rows) for rows in chunks])
+    parts = []
+    for rows in chunks:
+        Xc, _ = build_feature_matrices(inst, fm, rows, empty)
+        th, tl = _dd_mul(Xc, 0.0, sh, sl)
+        del Xc
+        vh, vl = _dd_sum_tree(th.T, tl.T)
+        parts.append(vh + vl)
+    return np.concatenate(parts)
 
 
 def kde_bruteforce(inst: KdeInstance, chunk: int = 256) -> np.ndarray:

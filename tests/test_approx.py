@@ -55,6 +55,9 @@ def test_problem_validation():
     for text in ("abc", "inf", "1/0", "1e-1000000"):
         with pytest.raises(DomainError):
             problem(Target.EXP_NEG, 4, text)
+    # a Fraction past Python's 4,300-digit int-to-text limit
+    with pytest.raises(DomainError):
+        problem(Target.EXP_NEG, Fraction(10 ** 5000 + 1, 10 ** 5000), "1e-3")
     spec = problem(Target.EXP_NEG, "4", "1e-6")
     assert spec.B_text == "4" and spec.delta_text == "1e-6"
     assert spec.lam.to_fraction() == 2

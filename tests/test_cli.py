@@ -11,6 +11,7 @@ import pytest
 from expcheb.approx import find_degree, problem
 from expcheb.cli import main
 from expcheb.coeffs import Target
+from expcheb.errors import BitBudgetError
 from expcheb.kde import kde_bruteforce, make_instance, solve
 
 
@@ -205,13 +206,13 @@ def test_kde_instance_json(tmp_path, capsys):
 
 
 def _tight_doc():
-    # points spread over the whole of B = 25 at delta = 1e-6: the plain
-    # double-precision bound misses its budget and the matvec escalates
+    # points spread over [0, 4] (B = 16) at delta = 1e-13: even recentred,
+    # the plain double-precision bound misses its budget and the matvec
+    # escalates
     rng = np.random.default_rng(31)
-    side = math.sqrt(0.98 * 25)
-    return {"x": rng.uniform(-side / 2, side / 2, (8, 1)).tolist(),
-            "y": rng.uniform(-side / 2, side / 2, (8, 1)).tolist(),
-            "w": rng.normal(size=8).tolist(), "delta": "1e-6", "B": "25"}
+    return {"x": rng.uniform(0, 4, (128, 1)).tolist(),
+            "y": rng.uniform(0, 4, (128, 1)).tolist(),
+            "w": rng.normal(size=128).tolist(), "delta": "1e-13", "B": "16"}
 
 
 @pytest.mark.parametrize("doc,escalates",
@@ -267,22 +268,26 @@ def test_kde_capacity_exit(tmp_path, capsys):
 
 
 def test_kde_soundness_exit(tmp_path, capsys):
-    # wide domain + tight tolerance: plain doubles cannot certify
-    rng = np.random.default_rng(31)
-    side = math.sqrt(0.98 * 25)
-    doc = {
-        "x": rng.uniform(-side / 2, side / 2, (8, 1)).tolist(),
-        "y": rng.uniform(-side / 2, side / 2, (8, 1)).tolist(),
-        "w": rng.normal(size=8).tolist(),
-        "delta": "1e-6",
-        "B": "25",
-    }
+    # plain doubles cannot certify the tight instance
     path = tmp_path / "tight.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_tight_doc()))
     code, out, err = _run(capsys, ["kde", "--instance", str(path),
                                    "--force", "plain"])
     assert code == 3
     assert "soundness error" in err
+
+
+def test_error_exit_names_the_error_kind(capsys, monkeypatch):
+    # a certified-computation failure other than a soundness failure keeps
+    # exit code 3 and names its own kind
+    import expcheb.cli as cli
+
+    def fail(*args):
+        raise BitBudgetError("rounded coefficients exceed the cap")
+    monkeypatch.setattr(cli, "export_polynomial", fail)
+    code, out, err = _run(capsys, ["build", "--B", "4", "--delta", "1e-3"])
+    assert code == 3 and out == ""
+    assert err == "bit budget error: rounded coefficients exceed the cap\n"
 
 
 def test_kde_input_validation(tmp_path, capsys):

@@ -94,7 +94,9 @@ def test_feature_count_and_enumeration_order():
     assert fm.rank == 10
     inst = make_instance([[2.0, 3.0]], [[0.0, 0.0]], [1.0], "1e-3", B=16)
     Xmat, _ = build_feature_matrices(inst, fm)
-    a = 13.0
+    # a' = ||x||^2 - t0/2, with t0 = B/2 = 1/2 for p's domain [0, 1]
+    assert fm.shift == 0.25
+    a = 13.0 - 0.25
     assert Xmat[0].tolist() == [1.0, a, a * a,      # j=0: i=0..2
                                 2.0, 3.0,           # j=1, i=0: x1, x2
                                 2.0 * a, 3.0 * a,   # j=1, i=1
@@ -149,6 +151,14 @@ def test_make_instance_diameter_estimate():
     assert inst_fixed.B == 25 and not inst_fixed.B_estimated
 
 
+def test_estimated_diameter_rounds_up():
+    # two points at distance r: the certified B must cover r^2 exactly
+    rng = np.random.default_rng(9)
+    for r in rng.uniform(2.0, 10.0, 1000).tolist():
+        inst = make_instance([[0.0]], [[r]], [1.0], "1e-3")
+        assert Fraction(r) ** 2 <= inst.B
+
+
 def test_estimate_dominates_measured_diameter():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -168,10 +178,12 @@ def _table_coefs(fm):
 
 
 def test_expand_linear_hand_case():
+    # p(t) = t recentred at t0 = 1/2: q(s) = s + 1/2
     fm = expand_kernel_poly(_synthetic_poly([0, 1]), 1)
     assert fm.d == 1
-    assert _table_coefs(fm) == {(1, 0, 0): 1.0, (0, 1, 0): -2.0,
-                                (0, 0, 1): 1.0}
+    assert fm.shifted == (Fraction(1, 2), Fraction(1))
+    assert _table_coefs(fm) == {(0, 0, 0): 0.5, (1, 0, 0): 1.0,
+                                (0, 1, 0): -2.0, (0, 0, 1): 1.0}
 
 
 def test_expand_constant_hand_case():
@@ -203,6 +215,37 @@ def test_expand_real_polynomial_exact():
         y = tuple(Fraction(rng.randrange(-8, 9), 8) for _ in range(2))
         want = oracles.kernel_poly_value(poly.monomial_form, x, y)
         assert reconstruct_feature_value(fm, x, y) == want
+
+
+def test_recentred_map_reproduces_p_exactly():
+    # q(s) = p(s + t0), t0 = 2 fl(B/4), shifted exactly; the map at
+    # a' = ||x||^2 - t0/2 and c' = ||y||^2 - t0/2 sums to p(||x - y||^2)
+    import random
+    rng = random.Random(11)
+    for m, B, delta in ((1, 16, "1e-12"), (2, 9, "1e-3")):
+        _, fm = kernel_map(m, B, delta)
+        p = fm.poly.monomial_form
+        assert fm.shift == B / 4
+        t0 = 2 * Fraction(fm.shift)
+        for s in (Fraction(0), Fraction(-7, 3), Fraction(B, 2)):
+            assert sum(c * s ** k for k, c in enumerate(fm.shifted)) \
+                == sum(c * (s + t0) ** k for k, c in enumerate(p))
+        for _ in range(3):
+            x = tuple(Fraction(rng.randrange(-64, 65), 32) for _ in range(m))
+            y = tuple(Fraction(rng.randrange(-64, 65), 32) for _ in range(m))
+            assert reconstruct_feature_value(fm, x, y) \
+                == oracles.kernel_poly_value(p, x, y)
+
+
+def test_tables_refuse_entries_outside_normal_doubles():
+    # a nonzero table entry that rounds to a subnormal breaks the rounding
+    # model; at B = 2500 the recentred Horner table has one
+    expand_kernel_poly(_synthetic_poly([Fraction(1, 2 ** 1022), 0]), 1)
+    for tiny in (Fraction(1, 2 ** 1023), Fraction(1, 2 ** 1080)):
+        with pytest.raises(SoundnessError):
+            expand_kernel_poly(_synthetic_poly([tiny, 0]), 1)
+    with pytest.raises(SoundnessError):
+        kernel_map(1, 2500, "1e-3")
 
 
 def test_parent_links_precede_children():
@@ -251,20 +294,20 @@ def test_float_tables_factor_the_coefficients():
     poly = export_polynomial(spec, find_degree(spec))
     fm = expand_kernel_poly(poly, 3)
     d = fm.d
-    p = poly.monomial_form
+    q = fm.shifted
     for i in range(d + 1):
         for j in range(d + 1 - i):
             scale = (-2) ** j * math.comb(i + j, i)
             assert fm.pair_scale[j, i] == scale
             for k in range(d + 1 - i - j):
                 s = i + j + k
-                horner = p[s] * math.comb(s, i + j)
+                horner = q[s] * math.comb(s, i + j)
                 assert fm.horner[i + j, k] == float(horner)
-                # c_ijk = p_s s! / (i! j! k!) (-2)^j factors exactly
+                # c_ijk = q_s s! / (i! j! k!) (-2)^j factors exactly
                 mult = math.factorial(s) // (math.factorial(i)
                                              * math.factorial(j)
                                              * math.factorial(k))
-                assert scale * horner == p[s] * mult * (-2) ** j
+                assert scale * horner == q[s] * mult * (-2) ** j
     for beta, wt in zip(fm.exponents, fm.weights):
         want = math.factorial(int(beta.sum()))
         for e in beta:
@@ -390,26 +433,28 @@ def test_matvec_bitwise_deterministic():
     assert a.v.tobytes() == b.v.tobytes()
 
 
-def _tight_instance():
-    # wide domain and tight tolerance: the plain double-precision budget
-    # cannot absorb the e^B mass cancellation
-    rng = np.random.default_rng(31)
-    X, Y = _box_points(rng, 16, 1, 36)
-    w = rng.normal(size=16)
-    return make_instance(X, Y, w, "1e-6", B=36)
-
-
 def test_escalates_to_high_precision():
-    inst = _tight_instance()
+    inst = _escalate_instance(delta="2e-13")
     res = solve(inst)
     assert res.used_high_precision
     brute = kde_bruteforce(inst)
     gap = float(np.abs(res.v - brute).max())
-    assert gap <= 1e-6 * float(np.abs(inst.w).sum())
+    assert gap <= 2e-13 * float(np.abs(inst.w).sum())
+
+
+def test_escalate_shape_stays_plain():
+    # recentred, the kde-escalate shape certifies in plain doubles
+    inst = _escalate_instance()
+    res = solve(inst)
+    assert not res.used_high_precision
+    assert res.float_error_bound <= 1e-12 / 2
+    brute = kde_bruteforce(inst)
+    gap = float(np.abs(res.v - brute).max())
+    assert gap <= 1e-12 * float(np.abs(inst.w).sum())
 
 
 def test_force_plain_over_budget_raises():
-    inst = _tight_instance()
+    inst = _escalate_instance(delta="2e-13")
     with pytest.raises(SoundnessError):
         solve(inst, force="plain")
 
@@ -438,44 +483,56 @@ def _centered(inst):
     return inst.X - center, inst.Y - center
 
 
+def _shifted(row, fm):
+    """a' = fl(fl(||p||^2) - t0/2), squares summed in coordinate order."""
+    s = 0.0
+    for v in row:
+        s += float(v) * float(v)
+    return Fraction(s - fm.shift)
+
+
 def _exact_abs_sum_max(inst, fm):
-    """max_i A_i in exact rationals from |p_k|, |x'_i| and |y'_n|."""
+    """max_i A_i in exact rationals from |q_k|, |x'_i|, |y'_n| and the rows'
+    |a'_i| and |c'_n|."""
     Xp, Yp = _centered(inst)
     xs = [[abs(Fraction(float(v))) for v in row] for row in Xp]
     ys = [[abs(Fraction(float(v))) for v in row] for row in Yp]
-    p_abs = [abs(c) for c in fm.poly.monomial_form]
+    a_abs = [abs(_shifted(row, fm)) for row in Xp]
+    c_abs = [abs(_shifted(row, fm)) for row in Yp]
+    q_abs = [abs(c) for c in fm.shifted]
 
-    def P_abs(t):
-        return sum(c * t ** k for k, c in enumerate(p_abs))
-    return max(sum(abs(Fraction(float(wn))) * P_abs(
-        sum(v * v for v in x) + 2 * sum(p * q for p, q in zip(x, y))
-        + sum(q * q for q in y)) for y, wn in zip(ys, inst.w)) for x in xs)
+    def Q_abs(t):
+        return sum(c * t ** k for k, c in enumerate(q_abs))
+    return max(sum(abs(Fraction(float(wn))) * Q_abs(
+        a + 2 * sum(p * q for p, q in zip(x, y)) + c)
+        for y, c, wn in zip(ys, c_abs, inst.w)) for x, a in zip(xs, a_abs))
 
 
 def test_abs_sum_identity_matches_feature_map():
-    # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is P_abs(a + 2<|x|,|y|> + c):
-    # the majorant's float rows reach it within gamma_N, each of their
-    # terms being nonnegative
+    # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is
+    # Q_abs(|a'| + 2<|x|,|y|> + |c'|): the majorant's float rows reach it
+    # within gamma_N, each of their terms being nonnegative
     spec = problem(Target.EXP_NEG, 4, "1e-3")
     fm = expand_kernel_poly(export_polynomial(spec, find_degree(spec)), 3)
-    fm_abs = dataclasses.replace(fm, horner=np.abs(fm.horner),
-                                 pair_scale=np.abs(fm.pair_scale))
-    p_abs = [abs(c) for c in fm.poly.monomial_form]
+    q_abs = [abs(c) for c in fm.shifted]
     x = [Fraction(-3, 8), Fraction(5, 4), Fraction(1, 16)]
     y = [Fraction(7, 8), Fraction(-1, 2), Fraction(-9, 4)]
     ax, ay = [abs(v) for v in x], [abs(v) for v in y]
-    t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
-         + sum(q * q for q in ay))
-    want = sum(c * t ** k for k, c in enumerate(p_abs))
+    t = (abs(_shifted(ax, fm)) + 2 * sum(p * q for p, q in zip(ax, ay))
+         + abs(_shifted(ay, fm)))
+    want = sum(c * t ** k for k, c in enumerate(q_abs))
     inst = make_instance([[float(v) for v in ax]], [[float(v) for v in ay]],
                          [1.0], "1e-3", B=4)
-    Xmat, Ymat = build_feature_matrices(inst, fm_abs)
+    Xmat, Ymat = build_feature_matrices(inst, fm.majorant())
     got = Fraction(float(Xmat[0] @ Ymat[0]))
     assert abs(got - want) <= _gamma(gamma_ops(1, fm), Fraction(_EPS)) * want
     # and exactly: flipping y's sign turns each (-2)^j into 2^j
-    poly_abs = _synthetic_poly(p_abs)
-    fm_exact = expand_kernel_poly(poly_abs, 3)
-    assert reconstruct_feature_value(fm_exact, ax, [-v for v in ay]) == want
+    p_abs = [abs(c) for c in fm.poly.monomial_form]
+    fm_exact = expand_kernel_poly(_synthetic_poly(p_abs), 3)
+    t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
+         + sum(q * q for q in ay))
+    assert reconstruct_feature_value(fm_exact, ax, [-v for v in ay]) \
+        == sum(c * t ** k for k, c in enumerate(p_abs))
 
 
 # eight dyadic coordinates whose float sum of squares rounds below the
@@ -523,6 +580,31 @@ def test_a_priori_bounds_enclose_exact_abs_sum():
                                 for v in _ROUNDS_DOWN[0])
 
 
+def test_shift_slack_covers_the_rounded_norms():
+    # the rows evaluate q at a' - 2b + c' + t0 with a', c' rounded, so each
+    # pair's argument moves off ||x' - y'||^2 by the rounding of a' plus
+    # that of c'; shift_slack beyond the centering term covers the largest
+    rng = np.random.default_rng(23)
+    X, Y = _box_points(rng, 40, 3, 9)
+    inst = make_instance(X, Y, rng.normal(size=40), "1e-6", B=9)
+    _, fm = kernel_map(3, 9, "1e-6")
+    Xp, Yp = _centered(inst)
+    _, shift_slack, _ = kde_mod._budget(
+        dataclasses.replace(inst, X=Xp, Y=Yp), fm)
+
+    def rounding(P):
+        h = Fraction(fm.shift)
+        return max(abs(_shifted(row, fm)
+                       - (sum(Fraction(float(v)) ** 2 for v in row) - h))
+                   for row in P)
+    moved = rounding(Xp) + rounding(Yp)
+    assert moved > 0
+    u = Fraction(_EPS)
+    w1 = sum(abs(Fraction(float(v))) for v in inst.w)
+    centering = 8 * inst.m * inst.B * u * (1 + 4 * u)
+    assert Fraction(shift_slack) >= (centering + moved) * w1
+
+
 def _lowdim_instance(n=4096, seed=1):
     # the kde-lowdim shape: m = 2, uniform box of side sqrt(2), delta 1e-3
     rng = np.random.default_rng(seed)
@@ -531,16 +613,29 @@ def _lowdim_instance(n=4096, seed=1):
     return make_instance(X, Y, rng.standard_normal(n), "1e-3")
 
 
-def _escalate_instance(n=1024, seed=1):
-    # the kde-escalate shape: m = 1, side 4 (B ~ 16), delta 1e-12
+def _escalate_instance(n=1024, seed=1, delta="1e-12"):
+    # the kde-escalate shape: m = 1, side 4 (B ~ 16), delta 1e-12, where
+    # the measured pass certifies plain doubles; at delta = 2e-13 the
+    # measured plain bound misses and the compensated rung certifies
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 4.0, (n, 1))
     Y = rng.uniform(0.0, 4.0, (n, 1))
-    return make_instance(X, Y, rng.standard_normal(n), "1e-12")
+    return make_instance(X, Y, rng.standard_normal(n), delta)
+
+
+def _ends_instance(n=1024, seed=1):
+    # sources near both ends of [-2, 2], queries near its midpoint, and B
+    # a bound on the true squared diameter: |a'| reaches about 3B/4 > t0,
+    # so at delta = 2e-13 even A_lo rules out plain doubles, while A_hi
+    # admits the compensated rung
+    rng = np.random.default_rng(seed)
+    X = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.9, 2.0, n))[:, None]
+    Y = rng.uniform(-0.05, 0.05, (n, 1))
+    return make_instance(X, Y, rng.standard_normal(n), "2e-13", B="4.25")
 
 
 def test_lower_bound_below_measured_abs_sum():
-    for inst in (_tight_instance(), _escalate_instance()):
+    for inst in (_ends_instance(), _escalate_instance()):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         Xp, Yp = _centered(inst)
         A_lo, _ = _abs_sum_bounds(Xp, Yp, inst.w, fm)
@@ -573,20 +668,27 @@ def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
 
 
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
-    inst = _escalate_instance()
+    # both rungs build the same double rows: when the bounds alone choose
+    # the compensated rung, its one pass builds each chunk once and no
+    # plain or majorant row is built
+    inst = _ends_instance()
     _, fm = kernel_map(inst.m, inst.B, inst.delta)
     calls = _spy_rows(monkeypatch)
     res = kde_matvec(inst, fm)
     assert res.used_high_precision
     assert res.float_bound_source == "a-priori"
-    assert calls == [] and res.elapsed_build == 0
-    assert res.float_error_bound <= 1e-12 / 2
+    assert not any(majorant for _, majorant in calls)
+    chunks = kde_mod._chunks(inst.n, fm.rank, kde_mod._DD_CHUNK_BYTES)
+    assert [name for name, _ in calls].count("build_feature_matrices") \
+        == 2 * len(chunks)
+    assert res.elapsed_build == 0
+    assert res.float_error_bound <= 2e-13 / 2
 
 
 def test_a_priori_paths_match_the_measured_path(monkeypatch):
     # with bounds that decide nothing, the absolute-value pass picks the
     # precision; v and the precision must not depend on which bound did
-    cases = [(_lowdim_instance(), False), (_escalate_instance(), True)]
+    cases = [(_lowdim_instance(), False), (_ends_instance(), True)]
     fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
     fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
     monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
@@ -602,8 +704,9 @@ def test_a_priori_paths_match_the_measured_path(monkeypatch):
 
 def test_measured_bound_is_rounded_up(monkeypatch):
     # on the measured path the reported bound is at least the exact
-    # gamma_k / (1 - gamma_N) fl(max_i A_i) + shift_slack, over ||w||_1;
-    # a bound summed in round-to-nearest doubles falls below it on 7 of
+    # g / (1 - gamma_N) fl(max_i A_i) + shift_slack over ||w||_1, with g
+    # the rung's coefficient;
+    # a bound summed in round-to-nearest doubles falls below it on 28 of
     # these 80 runs
     monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
                         lambda *args: (Fraction(0), Fraction(10 ** 400)))
@@ -617,14 +720,18 @@ def test_measured_bound_is_rounded_up(monkeypatch):
         Xp, Yp = _centered(inst)
         centered = dataclasses.replace(inst, X=Xp, Y=Yp)
         abs_max = Fraction(_abs_pass(centered, fm))
-        _, shift_slack, w_lo = kde_mod._budget(centered)
+        _, shift_slack, w_lo = kde_mod._budget(centered, fm)
         N = gamma_ops(inst.n, fm)
-        for force, k, unit in (("plain", N, _EPS),
-                               ("high", 2 * N, kde_mod._EPS_DD)):
+        sums = inst.n + fm.rank
+        u = Fraction(_EPS)
+        # plain: gamma_N at u; compensated: gamma_{2d+9} at u for the rows
+        # and the final rounding, gamma_{2(n+R)} at 2^-104 for the sums
+        for force, g in (("plain", _gamma(N, u)),
+                         ("high", _gamma(2 * fm.d + 9, u) + _gamma(
+                             2 * sums, Fraction(kde_mod._EPS_DD)))):
             res = kde_matvec(inst, fm, force=force)
             assert res.float_bound_source == "measured"
-            exact = (_gamma(k, Fraction(unit)) * abs_max
-                     / (1 - _gamma(N, Fraction(_EPS))) + Fraction(shift_slack))
+            exact = g * abs_max / (1 - _gamma(N, u)) + Fraction(shift_slack)
             assert Fraction(res.float_error_bound) >= exact / w_lo
 
 
@@ -714,12 +821,12 @@ def test_float_budget_stays_below_exact_half_delta():
     w1 = sum(Fraction(float(x)) for x in w)
     exact = delta / 2 * w1
     assert Fraction(float(delta) / 2 * float(w.sum())) > exact
-    budget, shift_slack, w_lo = kde_mod._budget(inst)
+    _, fm = kernel_map(inst.m, inst.B, delta)
+    budget, shift_slack, w_lo = kde_mod._budget(inst, fm)
     assert Fraction(budget) <= exact
     assert w_lo <= w1
     u = Fraction(_EPS)
     assert Fraction(shift_slack) >= 8 * inst.m * inst.B * u * (1 + 4 * u) * w1
-    _, fm = kernel_map(inst.m, inst.B, delta)
     assert not kde_matvec(inst, fm).used_high_precision
 
 
