@@ -36,10 +36,8 @@ from .approx import (
     degree_lower_bound,
     eval_cheb_series,
     eval_exported,
-    eval_monomial,
     export_polynomial,
     find_degree,
-    measure_sup_error,
     predict_degree,
     problem,
 )
@@ -79,6 +77,7 @@ from .kde import (
     kde_matvec,
     kernel_map,
     make_instance,
+    measured_diameter_sq,
     solve,
 )
 from .polyio import parse_polynomial, render_polynomial
@@ -149,10 +148,8 @@ __all__ = [
     "degree_lower_bound",
     "eval_cheb_series",
     "eval_exported",
-    "eval_monomial",
     "export_polynomial",
     "find_degree",
-    "measure_sup_error",
     "predict_degree",
     "problem",
     # minimax oracle
@@ -174,5 +171,6 @@ __all__ = [
     "kde_matvec",
     "kernel_map",
     "make_instance",
+    "measured_diameter_sq",
     "solve",
 ]

@@ -26,7 +26,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from mpmath.libmp import mpf_div, mpf_exp, mpf_neg
 
@@ -47,7 +46,6 @@ from .errors import (
 from .hp import DEFAULT_BITS, HPReal, hpf
 from .special import (
     cheb_eval,
-    cheb_extrema_and_roots,
     critical_constant_neg,
     critical_constant_pos,
     saturation_constant,
@@ -64,6 +62,7 @@ RHO_LARGE = 20.0
 MAX_TAIL_CUTOFF = 60_000
 
 _TAIL_BITS = 128
+_GROWTH_BITS = 256   # working precision of the Chebyshev-growth witness
 
 
 class Regime(enum.Enum):
@@ -376,7 +375,7 @@ def find_degree(spec: ProblemSpec) -> DegreeCertificate:
                              LowerWitness.DEFINITION, tails(1).lower)
 
 
-def degree_lower_bound(spec: ProblemSpec, bits: int = 256) -> int:
+def degree_lower_bound(spec: ProblemSpec) -> int:
     """Degree forced by Chebyshev growth outside the unit interval.
 
     For the decaying target with delta < 1/4 and B > ln(1/delta): any
@@ -392,7 +391,7 @@ def degree_lower_bound(spec: ProblemSpec, bits: int = 256) -> int:
         raise DomainError("growth witness applies to the decaying target only")
     if not spec.delta_frac < Fraction(1, 4):
         raise DomainError("growth witness requires delta < 1/4")
-    L = log_inv_delta(spec, bits)
+    L = log_inv_delta(spec, _GROWTH_BITS)
     if not L.to_fraction() < spec.B_frac:
         raise DomainError("growth witness requires B > ln(1/delta)")
     x0 = 1 + L.shifted(1) / (spec.B - L)
@@ -406,7 +405,7 @@ def degree_lower_bound(spec: ProblemSpec, bits: int = 256) -> int:
 
     def reaches(d: int) -> bool:
         # scaled Chebyshev value: T_d(x0) = 2^{d-1} * monic value
-        t = cheb_eval(d, x0.with_bits(bits)).shifted(d - 1)
+        t = cheb_eval(d, x0.with_bits(_GROWTH_BITS)).shifted(d - 1)
         return t.to_fraction() >= thr_frac
 
     d = max(1, d_est)
@@ -456,18 +455,6 @@ def eval_exported(poly: ExportedPolynomial, z: HPReal,
     wb = bits or poly.precision_bits
     x = domain_to_unit(poly, z, wb)
     return eval_cheb_series(poly.cheb_form, x, wb)
-
-
-def eval_monomial(coeffs: Sequence[Fraction], z: HPReal,
-                  bits: int) -> HPReal:
-    """Horner's rule on the monomial form at `bits`, with no error bound:
-    cancellation can cost about log2(sum |c_j| z^j / |p(z)|) bits, which
-    grows with B.  `eval_exported` is the stable evaluator."""
-    zw = z.with_bits(bits)
-    acc = hpf(0, bits)
-    for c in reversed(coeffs):
-        acc = acc * zw + hpf(c, bits)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -582,28 +569,3 @@ def export_polynomial(spec: ProblemSpec,
         precision_bits=p_cert,
     )
 
-
-def measure_sup_error(poly: ExportedPolynomial, spec: ProblemSpec,
-                      grid_factor: int = 16) -> HPReal:
-    """Observed sup |p(z) - f(z)| on a Chebyshev-spaced grid plus endpoints.
-
-    An empirical measurement (dense sampling), not a certificate; the
-    certificate lives in `poly.certified_sup_bound`.
-    """
-    if grid_factor < 4:
-        raise DomainError("grid_factor must be at least 4")
-    wb = max(cert_precision(spec), 192)
-    n = grid_factor * (poly.degree + 1)
-    _, roots = cheb_extrema_and_roots(n, wb)
-    half_B = spec.B.with_bits(wb).shifted(-1)
-    zs = [half_B * (1 + x) for x in roots]
-    zs.append(hpf(0, wb))
-    zs.append(spec.B.with_bits(wb))
-    worst = hpf(0, wb)
-    for z in zs:
-        pv = eval_exported(poly, z, wb)
-        fv = (-z).exp() if spec.target is Target.EXP_NEG else z.exp()
-        err = abs(pv - fv)
-        if err > worst:
-            worst = err
-    return worst

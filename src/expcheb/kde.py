@@ -30,6 +30,15 @@ ill-conditioned sum (Accuracy and Stability of Numerical Algorithms,
 [0, B], while q's coefficients are about e^-t0 (-1)^k / k!.  A nonzero
 table entry that is not a normal double raises SoundnessError.
 
+The contract max_i |v_i - v_i_exact| <= delta ||w||_1 holds when B bounds
+every squared x-y distance.  make_instance checks that once, at input,
+in O(nm): an estimated B sums the pooled squared ranges exactly and
+rounds up, and a given B below max_l max(maxX_l - minY_l,
+maxY_l - minX_l)^2, computed exactly (the squared diameter itself when
+m = 1), is refused with DomainError.  For m >= 2 a given B between that
+bound and the true squared diameter passes; measured_diameter_sq is the
+O(n^2 m) diagnostic for it, which `expcheb kde --validate` reports.
+
 Floating-point error is charged against the remaining delta/2 budget.
 The rows take a' = fl(fl(||x'||^2) - t0/2) and c' likewise as data.
 Every elementary term T = c_ijk (j!/beta!) a'^i x^beta y^beta c'^k w_n
@@ -112,7 +121,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -135,6 +143,7 @@ MAX_COLUMNS = 2_000_000
 MAX_MATRIX_BYTES = 2_000_000_000
 _CHUNK_BYTES = 8_000_000     # one chunk of feature rows (plain path)
 _DD_CHUNK_BYTES = 1_000_000  # one chunk of feature rows (compensated path)
+_BRUTE_CHUNK = 256           # rows of x per block of kde_bruteforce
 
 _EPS = 2.0 ** -53
 _EPS_DD = 2.0 ** -104
@@ -206,11 +215,9 @@ class KdeResult:
     elapsed_build: float
     elapsed_matvec: float
     degree: int
-    B_used: Fraction
     float_error_bound: float       # certified per-entry bound / ||w||_1
     used_high_precision: bool
     float_bound_source: str        # "a-priori" or "measured"
-    diameter_violation: float | None = None
 
 
 def feature_count(m: int, d: int) -> int:
@@ -238,8 +245,18 @@ def estimate_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
                              pooled.min(axis=0).tolist())))
 
 
+def _cross_range_sq(X: np.ndarray, Y: np.ndarray) -> Fraction:
+    """max_l max(maxX_l - minY_l, maxY_l - minX_l)^2, exactly: an O(nm)
+    lower bound on the squared x-y diameter, equal to it when m = 1."""
+    return max(max(Fraction(xh) - Fraction(yl), Fraction(yh) - Fraction(xl))
+               ** 2 for xh, xl, yh, yl in zip(
+                   X.max(axis=0).tolist(), X.min(axis=0).tolist(),
+                   Y.max(axis=0).tolist(), Y.min(axis=0).tolist()))
+
+
 def measured_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
-    """Exact maximal squared distance between any x and y point (O(n^2 m))."""
+    """The float maximum of the squared x-y distances, in O(n^2 m): a
+    diagnostic, summed in doubles, not an exact or directed bound."""
     worst = 0.0
     for i in range(X.shape[0]):
         d2 = ((X[i] - Y) ** 2).sum(axis=1).max()
@@ -249,7 +266,13 @@ def measured_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def make_instance(X, Y, w, delta, B=None) -> KdeInstance:
-    """Validate and package a KDE instance; estimates B when not given."""
+    """Validate and package a KDE instance; estimates B when not given.
+
+    B, the squared-diameter bound, is clamped up to 1.  A given B below
+    the exact O(nm) lower bound max_l max(maxX_l - minY_l,
+    maxY_l - minX_l)^2 raises DomainError; the estimated B bounds every
+    x-y squared distance by construction and is not checked again.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -273,6 +296,13 @@ def make_instance(X, Y, w, delta, B=None) -> KdeInstance:
         B_frac = parse_exact(B)
     if B_frac < 1:
         B_frac = Fraction(1)
+    if not estimated:
+        floor = _cross_range_sq(X, Y)
+        if B_frac < floor:
+            raise DomainError(
+                f"B = {_round_down(B_frac):.17g} is below "
+                f"{_round_up(floor):.17g}, a lower bound on the squared x-y "
+                f"diameter; B must bound every squared x-y distance")
     return KdeInstance(n, m, X, Y, w, delta, B_frac, estimated)
 
 
@@ -658,9 +688,12 @@ def _budget(inst: KdeInstance, fm: FeatureMap
             (1 - u) * w_fl)
 
 
-def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
-               validate_diameter: bool = False) -> KdeResult:
+def kde_matvec(inst: KdeInstance, fm: FeatureMap,
+               force: str | None = None) -> KdeResult:
     """v = Xmat @ (Ymat.T @ w) with a certified floating-point budget.
+
+    `inst.B` is taken to bound every squared x-y distance, as
+    make_instance checked it; nothing here checks it again.
 
     The precision is chosen before any value row is built, by the ladder
     of the module docstring.  Rows are streamed in chunks whose boundaries
@@ -673,16 +706,6 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
     """
     if force not in (None, "plain", "high"):
         raise DomainError("force must be None, 'plain', or 'high'")
-
-    violation = None
-    if validate_diameter:
-        measured = measured_diameter_sq(inst.X, inst.Y)
-        if measured > float(inst.B):
-            violation = measured
-            warnings.warn(
-                f"squared diameter {measured:g} exceeds the bound "
-                f"{float(inst.B):g}; the accuracy contract does not apply",
-                stacklevel=2)
 
     center = _midrange(inst)
     inst = replace(inst, X=inst.X - center, Y=inst.Y - center)
@@ -734,10 +757,9 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap, force: str | None = None,
     rel_bound = _round_up(Fraction(bound) / w_lo) if w_lo > 0 else 0.0
     return KdeResult(v=v, M=fm.rank, elapsed_build=build_s,
                      elapsed_matvec=time.perf_counter() - t0 - build_s,
-                     degree=fm.d, B_used=inst.B, float_error_bound=rel_bound,
+                     degree=fm.d, float_error_bound=rel_bound,
                      used_high_precision=use_high,
-                     float_bound_source=source,
-                     diameter_violation=violation)
+                     float_bound_source=source)
 
 
 def _abs_pass(inst: KdeInstance, fm: FeatureMap) -> float:
@@ -794,12 +816,13 @@ def _matvec_dd(inst: KdeInstance, fm: FeatureMap) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def kde_bruteforce(inst: KdeInstance, chunk: int = 256) -> np.ndarray:
-    """Exact O(n^2 m) reference: v_i = sum_j w_j exp(-||x_i - y_j||^2)."""
+def kde_bruteforce(inst: KdeInstance) -> np.ndarray:
+    """Exact O(n^2 m) reference: v_i = sum_j w_j exp(-||x_i - y_j||^2),
+    _BRUTE_CHUNK rows of x at a time."""
     n = inst.n
     v = np.empty(n)
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
+    for s in range(0, n, _BRUTE_CHUNK):
+        e = min(s + _BRUTE_CHUNK, n)
         d2 = ((inst.X[s:e, None, :] - inst.Y[None, :, :]) ** 2).sum(axis=2)
         v[s:e] = np.exp(-d2) @ inst.w
     return v
@@ -820,12 +843,10 @@ def kernel_map(m: int, B, delta) -> tuple[DegreeCertificate, FeatureMap]:
     return cert, expand_kernel_poly(poly, m)
 
 
-def solve(inst: KdeInstance, force: str | None = None,
-          validate_diameter: bool = False) -> KdeResult:
+def solve(inst: KdeInstance, force: str | None = None) -> KdeResult:
     """End-to-end driver: certify a polynomial at delta/2, expand, matvec."""
     _, fm = kernel_map(inst.m, inst.B, inst.delta)
-    return kde_matvec(inst, fm, force=force,
-                      validate_diameter=validate_diameter)
+    return kde_matvec(inst, fm, force=force)
 
 
 # ---------------------------------------------------------------------------

@@ -197,57 +197,34 @@ def cheb_extrema_and_roots(d: int, bits: int = DEFAULT_BITS):
 # ---------------------------------------------------------------------------
 
 
-def solve_rate_level(level: HPReal, lo: HPReal, hi: HPReal,
+def solve_rate_level(level: HPReal, hi: HPReal,
                      bits: int = DEFAULT_BITS) -> HPReal:
-    """Solve decay_rate(x) = level for x > 0 inside/near [lo, hi].
+    """Solve decay_rate(x) = level for x > 0 by Newton from the right.
 
-    The bracket is widened a bounded number of times if it does not
-    straddle (the profile is strictly decreasing, so straddling means
-    decay_rate(lo) >= level >= decay_rate(hi)).  Bisection narrows the
-    root, then Newton steps (derivative -asinh) polish it to full working
-    precision.
+    The start hi is doubled a bounded number of times until
+    decay_rate(hi) <= level.  The profile is decreasing and concave on
+    x >= 0 (g' = -asinh x, g'' = -1/sqrt(x^2 + 1)), so each tangent lies
+    above it and Newton steps from the right of the root decrease
+    monotonically to it, quadratically near it.
     """
     wb = bits + 32
     level = HPReal(level, wb) if not isinstance(level, HPReal) else level.with_bits(wb)
     if level > 1:
         raise DomainError("decay_rate never exceeds 1 on x >= 0")
-    a = HPReal(lo, wb) if not isinstance(lo, HPReal) else lo.with_bits(wb)
-    b = HPReal(hi, wb) if not isinstance(hi, HPReal) else hi.with_bits(wb)
-    if a.sign() <= 0:
-        a = HPReal(1, wb).shifted(-16)
+    x = HPReal(hi, wb) if not isinstance(hi, HPReal) else hi.with_bits(wb)
     for _ in range(64):
-        if decay_rate(a) >= level:
+        if decay_rate(x) <= level:
             break
-        a = a.shifted(-1)
-    else:
-        raise ConvergenceError("could not find a left bracket endpoint")
-    for _ in range(64):
-        if decay_rate(b) <= level:
-            break
-        b = b.shifted(1)
+        x = x.shifted(1)
     else:
         raise ConvergenceError("could not find a right bracket endpoint")
-    if a > b:
-        raise ConvergenceError("bracket endpoints out of order after expansion")
-    for _ in range(60):
-        mid = (a + b).shifted(-1)
-        if decay_rate(mid) >= level:
-            a = mid
-        else:
-            b = mid
-    x = (a + b).shifted(-1)
-    # Newton polish; quadratic, a handful of steps reaches working precision
-    tol = abs(x).shifted(-(bits + 8))
     for _ in range(64):
         step = (decay_rate(x) - level) / decay_rate_derivative(x)
         x = x - step
-        if x.sign() <= 0:
-            x = a  # fell out of the domain; retreat into the bracket
-            break
-        if abs(step) <= tol:
+        if abs(step) <= abs(x).shifted(-(bits + 8)):
             break
     else:
-        raise ConvergenceError("Newton polish did not converge")
+        raise ConvergenceError("Newton iteration did not converge")
     return x.with_bits(bits)
 
 
@@ -259,14 +236,14 @@ def saturation_constant(bits: int = DEFAULT_BITS) -> HPReal:
     approximations of the growing exponential settle at once the interval
     is much longer than log(1/tolerance).
     """
-    return solve_rate_level(HPReal(-1, bits + 32), hpf(2, bits), hpf(3, bits), bits)
+    return solve_rate_level(HPReal(-1, bits + 32), hpf(3, bits), bits)
 
 
 def critical_constant_neg(r: HPReal, bits: int = DEFAULT_BITS) -> HPReal:
     """Leading degree constant for the decaying exponential at width ratio r.
 
     Solves decay_rate(x) = 1 - 1/r.  The root always lies in
-    [sqrt(2/r), max(1/r, e)]; the solver re-validates the bracket anyway.
+    [sqrt(2/r), max(1/r, e)]; Newton starts at the right end.
     """
     r = r if isinstance(r, HPReal) else hpf(r)
     if r.sign() <= 0:
@@ -274,17 +251,16 @@ def critical_constant_neg(r: HPReal, bits: int = DEFAULT_BITS) -> HPReal:
     wb = bits + 32
     rr = r.with_bits(wb)
     level = 1 - 1 / rr
-    lo = (2 / rr).sqrt()
     e = HPReal(1, wb).exp()
     hi = 1 / rr if 1 / rr > e else e
-    return solve_rate_level(level, lo, hi, bits)
+    return solve_rate_level(level, hi, bits)
 
 
 def critical_constant_pos(r: HPReal, bits: int = DEFAULT_BITS) -> HPReal:
     """Leading degree constant for the growing exponential at width ratio r.
 
     Solves decay_rate(x) = -1 - 1/r.  The root lies in
-    [saturation_constant, max(2 + 2/r, e)].
+    [saturation_constant, max(2 + 2/r, e)]; Newton starts at the right end.
     """
     r = r if isinstance(r, HPReal) else hpf(r)
     if r.sign() <= 0:
@@ -292,8 +268,7 @@ def critical_constant_pos(r: HPReal, bits: int = DEFAULT_BITS) -> HPReal:
     wb = bits + 32
     rr = r.with_bits(wb)
     level = -1 - 1 / rr
-    lo = saturation_constant(bits).with_bits(wb)
     e = HPReal(1, wb).exp()
     cand = 2 + 2 / rr
     hi = cand if cand > e else e
-    return solve_rate_level(level, lo, hi, bits)
+    return solve_rate_level(level, hi, bits)

@@ -7,14 +7,29 @@ recurrence starts from an arbitrary value far above the order, with no
 seed, and is normalized by exp(lam) = I_0 + 2 sum I_k, so the two share
 no input.  Tails come from direct high-precision summation, and kernel
 expansions from exact rational brute force.  mpmath supplies only raw
-arbitrary-precision arithmetic.
+arbitrary-precision arithmetic.  `eval_monomial` and `measure_sup_error`
+are the exceptions: unbounded Horner on the exported monomial form and a
+sampled sup error, both in the package's `HPReal`, for checks that a
+certificate is at least the error it claims to bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
+
+from expcheb.approx import (
+    ExportedPolynomial,
+    ProblemSpec,
+    cert_precision,
+    eval_exported,
+)
+from expcheb.coeffs import Target
+from expcheb.errors import DomainError
+from expcheb.hp import HPReal, hpf
+from expcheb.special import cheb_extrema_and_roots
 
 
 def bessel_i(v: int, lam, dps: int = 60):
@@ -109,6 +124,44 @@ def kernel_poly_value(coeffs, x, y) -> Fraction:
     for c in reversed([Fraction(c) for c in coeffs]):
         acc = acc * q + c
     return acc
+
+
+def eval_monomial(coeffs: Sequence[Fraction], z: HPReal,
+                  bits: int) -> HPReal:
+    """Horner's rule on the monomial form at `bits`, with no error bound:
+    cancellation can cost about log2(sum |c_j| z^j / |p(z)|) bits, which
+    grows with B.  `eval_exported` is the stable evaluator."""
+    zw = z.with_bits(bits)
+    acc = hpf(0, bits)
+    for c in reversed(coeffs):
+        acc = acc * zw + hpf(c, bits)
+    return acc
+
+
+def measure_sup_error(poly: ExportedPolynomial, spec: ProblemSpec,
+                      grid_factor: int = 16) -> HPReal:
+    """Observed sup |p(z) - f(z)| on a Chebyshev-spaced grid plus endpoints.
+
+    An empirical measurement (dense sampling), not a certificate; the
+    certificate lives in `poly.certified_sup_bound`.
+    """
+    if grid_factor < 4:
+        raise DomainError("grid_factor must be at least 4")
+    wb = max(cert_precision(spec), 192)
+    n = grid_factor * (poly.degree + 1)
+    _, roots = cheb_extrema_and_roots(n, wb)
+    half_B = spec.B.with_bits(wb).shifted(-1)
+    zs = [half_B * (1 + x) for x in roots]
+    zs.append(hpf(0, wb))
+    zs.append(spec.B.with_bits(wb))
+    worst = hpf(0, wb)
+    for z in zs:
+        pv = eval_exported(poly, z, wb)
+        fv = (-z).exp() if spec.target is Target.EXP_NEG else z.exp()
+        err = abs(pv - fv)
+        if err > worst:
+            worst = err
+    return worst
 
 
 # frozen reference digits (computed with the oracles above and checked

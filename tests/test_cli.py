@@ -218,10 +218,8 @@ def _tight_doc():
 @pytest.mark.parametrize("doc,escalates",
                          [(_instance_doc(n=40, seed=12), False),
                           (_tight_doc(), True)], ids=["plain", "escalated"])
-def test_kde_matches_solve_bitwise(tmp_path, capsys, monkeypatch, doc,
-                                   escalates):
+def test_kde_matches_solve_bitwise(tmp_path, capsys, doc, escalates):
     # the subcommand and solve() run one certify -> factor -> matvec path
-    monkeypatch.delenv("EXPCHEB_BITS", raising=False)
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
     code, out, _ = _run(capsys, ["kde", "--instance", str(path),
@@ -290,6 +288,29 @@ def test_error_exit_names_the_error_kind(capsys, monkeypatch):
     assert err == "bit budget error: rounded coefficients exceed the cap\n"
 
 
+def test_kde_validate_reports_the_diameter(tmp_path, capsys):
+    # B = 10 clears the O(nm) bound, 3^2 = 9, but not the squared
+    # diameter 18, which --validate reports; at B = 18 it stays silent
+    path = tmp_path / "inst.json"
+    for B, violation in (("10", 18.0), ("18", None)):
+        path.write_text(json.dumps({"x": [[0, 0]], "y": [[3, 3]], "w": [1],
+                                    "delta": "1e-3", "B": B}))
+        code, out, _ = _run(capsys, ["kde", "--instance", str(path),
+                                     "--validate", "--no-timings"])
+        assert code == 0
+        doc = json.loads(out)
+        if violation is None:
+            assert "diameter_violation" not in doc
+        else:
+            assert float(doc["diameter_violation"]) == violation
+    # without --validate nothing is measured
+    path.write_text(json.dumps({"x": [[0, 0]], "y": [[3, 3]], "w": [1],
+                                "delta": "1e-3", "B": "10"}))
+    code, out, _ = _run(capsys, ["kde", "--instance", str(path),
+                                 "--no-timings"])
+    assert code == 0 and "diameter_violation" not in json.loads(out)
+
+
 def test_kde_input_validation(tmp_path, capsys):
     assert main(["kde", "--delta", "1e-3"]) == 2
     capsys.readouterr()
@@ -309,6 +330,12 @@ def test_kde_input_validation(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["kde", "--instance", str(path)]) == 2
         capsys.readouterr()
+    # a given B below the squared x-y diameter, 36, in one dimension
+    path.write_text(json.dumps({"x": [[0.0], [3.0]], "y": [[-3.0], [1.0]],
+                                "w": [1, 1], "delta": "1e-3", "B": "35"}))
+    code, out, err = _run(capsys, ["kde", "--instance", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: B = 35 is below 36")
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +413,15 @@ def test_outputs_byte_deterministic(capsys):
         assert out1 == out2
 
 
-def test_env_var_overrides_precision(capsys, monkeypatch):
-    _, out_def, _ = _run(capsys, ["coeffs", "--lambda", "1", "--count", "1"])
-    monkeypatch.setenv("EXPCHEB_BITS", "192")
-    _, out_192, _ = _run(capsys, ["coeffs", "--lambda", "1", "--count", "1"])
+def test_precision_bits_flag(capsys):
+    # coeffs prints at --precision-bits, 128 by default
+    argv = ["coeffs", "--lambda", "1", "--count", "1"]
+    _, out_def, _ = _run(capsys, argv)
+    _, out_192, _ = _run(capsys, argv + ["--precision-bits", "192"])
     v_def = out_def.strip().splitlines()[1].split(",")[1]
     v_192 = out_192.strip().splitlines()[1].split(",")[1]
     assert len(v_192) > len(v_def) + 10
-    monkeypatch.setenv("EXPCHEB_BITS", "not-a-number")
-    with pytest.raises(SystemExit) as exc:
-        main(["coeffs", "--lambda", "1", "--count", "1"])
-    assert exc.value.code == 2
-    # an explicit --precision-bits still wins over a malformed variable
-    code, out_explicit, _ = _run(capsys, ["coeffs", "--lambda", "1",
-                                          "--count", "1",
-                                          "--precision-bits", "128"])
+    code, out_explicit, _ = _run(capsys, argv + ["--precision-bits", "128"])
     assert code == 0
     assert out_explicit == out_def
 
@@ -420,6 +441,7 @@ def test_env_var_overrides_precision(capsys, monkeypatch):
     ["kde", "--instance", "inst.json", "--max-columns", "100"],
     ["bench", "--n", "64", "--m", "2", "--B", "4", "--delta", "1e-2",
      "--max-columns", "100"],
+    ["kde", "--instance", "inst.json", "--validate-diameter"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     # each subcommand takes only the common flags that change its output

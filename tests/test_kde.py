@@ -521,8 +521,9 @@ def test_abs_sum_identity_matches_feature_map():
     t = (abs(_shifted(ax, fm)) + 2 * sum(p * q for p, q in zip(ax, ay))
          + abs(_shifted(ay, fm)))
     want = sum(c * t ** k for k, c in enumerate(q_abs))
+    # B = 6 covers the pair's squared distance, 5.6
     inst = make_instance([[float(v) for v in ax]], [[float(v) for v in ay]],
-                         [1.0], "1e-3", B=4)
+                         [1.0], "1e-3", B=6)
     Xmat, Ymat = build_feature_matrices(inst, fm.majorant())
     got = Fraction(float(Xmat[0] @ Ymat[0]))
     assert abs(got - want) <= _gamma(gamma_ops(1, fm), Fraction(_EPS)) * want
@@ -547,25 +548,26 @@ def _bound_cases():
     spec = problem(Target.EXP_NEG, 9, "1e-6")
     poly = export_polynomial(spec, find_degree(spec))
     power = _synthetic_poly([0] * 8 + [1])     # p(t) = t^8
-    # far from the origin: centering moves these dyadic points exactly
+    # far from the origin: centering moves these dyadic points exactly;
+    # B = 32 covers their squared distances, at most 2 * 4^2
     far = (1000 + rng.integers(-16, 17, (7, 2)) / 8,
            1000 + rng.integers(-16, 17, (7, 2)) / 8,
-           rng.integers(-8, 9, 7) / 8)
+           rng.integers(-8, 9, 7) / 8, 32)
     # heavy cancellation in the weights
     cancel = (rng.integers(-8, 9, (6, 2)) / 16,
               rng.integers(-8, 9, (6, 2)) / 16,
               np.array([1.0, -1.0, 1.0 + 2.0 ** -40, -1.0 + 2.0 ** -52,
-                        2.0 ** -30, -1.0]))
+                        2.0 ** -30, -1.0]), 9)
     # n = 1 with y = -x: Cauchy-Schwarz is tight, so A_hi has no slack but
-    # the outward rounding
-    single = (_ROUNDS_DOWN, -_ROUNDS_DOWN, np.array([-0.75]))
+    # the outward rounding; B = 18 covers ||2x||^2 = 17.03
+    single = (_ROUNDS_DOWN, -_ROUNDS_DOWN, np.array([-0.75]), 18)
     # criterion 08's shape, m = 8, at a small n
     wide = (rng.integers(-8, 9, (5, 8)) / 16,
             rng.integers(-8, 9, (5, 8)) / 16,
-            rng.integers(-8, 9, 5) / 8)
-    for X, Y, w in (far, cancel, single, wide):
+            rng.integers(-8, 9, 5) / 8, 9)
+    for X, Y, w, B in (far, cancel, single, wide):
         for p in (poly, power):
-            yield (make_instance(X, Y, w, "1e-3", B=9),
+            yield (make_instance(X, Y, w, "1e-3", B=B),
                    expand_kernel_poly(p, X.shape[1]))
 
 
@@ -735,17 +737,22 @@ def test_measured_bound_is_rounded_up(monkeypatch):
             assert Fraction(res.float_error_bound) >= exact / w_lo
 
 
-def test_diameter_validation_warns_and_reports():
-    X = np.array([[0.0], [3.0]])
-    Y = np.array([[0.0], [-3.0]])
-    w = np.array([1.0, 1.0])
-    inst = make_instance(X, Y, w, "1e-3", B=1)
-    with pytest.warns(UserWarning):
-        res = solve(inst, validate_diameter=True)
-    assert res.diameter_violation == pytest.approx(36.0)
-    ok = make_instance(X, Y, w, "1e-3", B=49)
-    res_ok = solve(ok, validate_diameter=True)
-    assert res_ok.diameter_violation is None
+def test_make_instance_refuses_B_below_the_cross_range():
+    # in one dimension the bound is the exact squared x-y diameter
+    with pytest.raises(DomainError):
+        make_instance([[3.0]], [[-3.0]], [1.0], "1e-3", B=1)
+    with pytest.raises(DomainError):
+        make_instance([[3.0]], [[-3.0]], [1.0], "1e-3",
+                      B=Fraction(36) - Fraction(1, 10 ** 30))
+    assert make_instance([[3.0]], [[-3.0]], [1.0], "1e-3", B=36).B == 36
+    # in two, the largest coordinate's range: 9, below the true 18
+    X, Y = [[0.0, 0.0]], [[3.0, 3.0]]
+    with pytest.raises(DomainError):
+        make_instance(X, Y, [1.0], "1e-3", B="8.999")
+    assert make_instance(X, Y, [1.0], "1e-3", B=9).B == 9
+    assert make_instance(X, Y, [1.0], "1e-3", B=10).B == 10
+    # the check follows the clamp to 1: here the bound is 1
+    assert make_instance([[0.0]], [[1.0]], [1.0], "1e-3", B="0.5").B == 1
 
 
 def test_solve_capacity_refusal():
