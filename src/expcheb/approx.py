@@ -33,7 +33,6 @@ from .coeffs import (
     CoeffValue,
     Target,
     coefficient_range,
-    tail_bounds,
     tail_cutoff,
     tail_table,
 )
@@ -170,6 +169,8 @@ class ChebSeries:
 
 @dataclass(frozen=True)
 class DegreeCertificate:
+    """Certified degrees D_lower <= d_{B;delta} <= D_upper (`find_degree`)."""
+
     spec: ProblemSpec
     D_upper: int
     tail_upper_at_D: HPReal
@@ -320,35 +321,36 @@ def _check_tail_cutoff(spec: ProblemSpec, D: int, p_target: int) -> None:
 def find_degree(spec: ProblemSpec) -> DegreeCertificate:
     """Certified minimal degree plus a lower witness.
 
-    D_upper is the least D >= 1 whose tail upper bound, plus the error
-    radii the exported coefficients will carry, is provably below delta.
+    tails(D).upper bounds the error of the degree-(D-1) truncation.  With
+    D the least D >= 1 for which it, plus the exported coefficients' error
+    radii, is provably below delta, the certified degree is D_upper =
+    max(1, D - 1) (d >= 1) and tail_upper_at_D = tails(D_upper + 1).upper.
     Every bracket is read from one `tail_table` at the cutoff of
-    S = max(1, ceil(8*lam)), by two linear scans: D_upper is the least
-    D <= S below the threshold, D_lower the largest D <= D_upper whose
-    L2 lower bracket still reaches delta.  Only when no D <= S qualifies
-    does S double, clamped so that its cutoff stays within
-    MAX_TAIL_CUTOFF.
+    S = max(1, ceil(8*lam)), by two linear scans: D is the least D <= S
+    below the threshold, D_lower the largest degree <= D_upper whose L2
+    lower bracket still reaches delta.  Only when no D <= S qualifies
+    does S double, clamped so its cutoff stays within MAX_TAIL_CUTOFF.
     """
-    p_tail = _TAIL_BITS
     lam_f = spec.lam.to_float()
     S = max(1, math.ceil(8 * lam_f))
-    _check_tail_cutoff(spec, S, p_tail)
-    S_max = MAX_TAIL_CUTOFF - (tail_cutoff(S, lam_f, p_tail) - S)
+    _check_tail_cutoff(spec, S, _TAIL_BITS)
+    S_max = MAX_TAIL_CUTOFF - (tail_cutoff(S, lam_f, _TAIL_BITS) - S)
     threshold = spec.delta_frac - radius_sum_budget(spec, cert_precision(spec))
     if threshold <= 0:
         raise SoundnessError("tolerance too small for the export precision")
 
     while True:
-        tails = tail_table(tail_cutoff(S, lam_f, p_tail), spec.lam,
-                           spec.target, p_tail)
-        D_upper = next((D for D in range(1, S + 1)
-                        if tails(D).upper.to_fraction() < threshold), None)
-        if D_upper is not None:
+        tails = tail_table(tail_cutoff(S, lam_f, _TAIL_BITS), spec.lam,
+                           spec.target, _TAIL_BITS)
+        D = next((D for D in range(1, S + 1)
+                  if tails(D).upper.to_fraction() < threshold), None)
+        if D is not None:
             break
         if S == S_max:
-            _check_tail_cutoff(spec, S + 1, p_tail)  # raises CapacityError
+            _check_tail_cutoff(spec, S + 1, _TAIL_BITS)  # CapacityError
         S = min(2 * S, S_max)
-    tail_at = tails(D_upper).upper
+    D_upper = max(1, D - 1)
+    tail_at = tails(D_upper + 1).upper
 
     # Lower witness: the largest D whose L2 tail lower bound reaches delta.
     witness = next((tb for tb in map(tails, range(D_upper, 0, -1))
@@ -356,23 +358,13 @@ def find_degree(spec: ProblemSpec) -> DegreeCertificate:
     if witness is not None:
         return DegreeCertificate(spec, D_upper, tail_at, witness.start,
                                  LowerWitness.TAIL_L2, witness.lower)
-
-    can_growth = (spec.target is Target.EXP_NEG
-                  and spec.delta_frac < Fraction(1, 4)
-                  and spec.B_frac > 0
-                  and log_inv_delta(spec, 96).to_fraction() < spec.B_frac)
-    if can_growth:
-        try:
-            D_growth = degree_lower_bound(spec)
-        except DomainError:
-            D_growth = None
-        if D_growth is not None:
-            D_lower = min(D_growth, D_upper)
-            return DegreeCertificate(spec, D_upper, tail_at, D_lower,
-                                     LowerWitness.CHEB_GROWTH,
-                                     hpf(D_growth, 64))
-    return DegreeCertificate(spec, D_upper, tail_at, 1,
-                             LowerWitness.DEFINITION, tails(1).lower)
+    try:
+        D_growth = degree_lower_bound(spec)
+    except DomainError:
+        return DegreeCertificate(spec, D_upper, tail_at, 1,
+                                 LowerWitness.DEFINITION, tails(1).lower)
+    return DegreeCertificate(spec, D_upper, tail_at, min(D_growth, D_upper),
+                             LowerWitness.CHEB_GROWTH, hpf(D_growth, 64))
 
 
 def degree_lower_bound(spec: ProblemSpec) -> int:
@@ -491,6 +483,8 @@ def export_polynomial(spec: ProblemSpec,
                       cert: DegreeCertificate) -> ExportedPolynomial:
     """Materialize the certified degree-D_upper truncation on [0, B].
 
+    `cert` must be `find_degree(spec)`'s: its tail_upper_at_D is taken as
+    the truncation tail, checked where the certificate was made.
     The Chebyshev form keeps full-precision coefficients with radii.  The
     monomial form comes from one exact integer conversion of those values
     from the shifted Chebyshev basis; each coefficient c_j of z^j is then
@@ -509,8 +503,7 @@ def export_polynomial(spec: ProblemSpec,
     series = build_series(spec, d + 1, p_cert)
 
     # soundness ledger: truncation + radii (exact rationals throughout)
-    tail_next = tail_bounds(d + 1, spec.lam, spec.target, _TAIL_BITS)
-    trunc = tail_next.upper.to_fraction()
+    trunc = cert.tail_upper_at_D.to_fraction()
     radii = sum((cv.radius.to_fraction() for cv in series.coeffs),
                 Fraction(0))
     margin = spec.delta_frac - trunc - radii
@@ -555,8 +548,7 @@ def export_polynomial(spec: ProblemSpec,
             f"rounded coefficients exceed the {bit_cap}-bit cap at "
             f"degree {d}; this B and delta have no exact export")
 
-    wb = max(_TAIL_BITS, p_cert)
-    bound = _rounded(trunc + radii + round_err, wb, "c")
+    bound = _rounded(trunc + radii + round_err, p_cert, "c")
     if not bound.to_fraction() < spec.delta_frac:
         raise SoundnessError("certified error budget exceeded at export")
     return ExportedPolynomial(
@@ -565,7 +557,7 @@ def export_polynomial(spec: ProblemSpec,
         cheb_form=series,
         monomial_form=tuple(mono),
         certified_sup_bound=bound,
-        rounding_bound=_rounded(round_err, wb, "c"),
+        rounding_bound=_rounded(round_err, p_cert, "c"),
         precision_bits=p_cert,
     )
 

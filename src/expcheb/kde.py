@@ -129,6 +129,7 @@ import numpy as np
 from .approx import (
     DegreeCertificate,
     ExportedPolynomial,
+    ProblemSpec,
     export_polynomial,
     find_degree,
     parse_exact,
@@ -828,6 +829,11 @@ def kde_bruteforce(inst: KdeInstance) -> np.ndarray:
     return v
 
 
+def _kernel_problem(B, delta) -> ProblemSpec:
+    """exp(-z) on [0, B] at the polynomial's half of the KDE tolerance."""
+    return problem(Target.EXP_NEG, B, Fraction(delta) / 2)
+
+
 def kernel_map(m: int, B, delta) -> tuple[DegreeCertificate, FeatureMap]:
     """Certify p for exp(-z) on [0, B] at delta/2 and factor p(||x - y||^2).
 
@@ -836,7 +842,7 @@ def kernel_map(m: int, B, delta) -> tuple[DegreeCertificate, FeatureMap]:
     other half goes to the floating-point passes.  The rank is checked
     before the polynomial is exported.
     """
-    spec = problem(Target.EXP_NEG, B, Fraction(delta) / 2)
+    spec = _kernel_problem(B, delta)
     cert = find_degree(spec)
     _check_rank(m, cert.D_upper)
     poly = export_polynomial(spec, cert)
@@ -876,8 +882,8 @@ def cost_model(n: int, alpha: float, beta: float, kappa: float) -> CostModel:
     nu(r) * r * beta * ln n.  M is the feature rank C(m+d+1, d) that
     the solver uses and exponent_bound = ln M / ln n; envelope is the
     analytic x |ln x| with x = kappa nu(r).
-    Uses the certified degree when B >= 1 makes a certificate feasible,
-    the closed-form prediction otherwise.  M is reported exactly and may
+    Uses the degree `kernel_map` certifies (at delta/2) when B >= 1, the
+    closed-form prediction otherwise.  M is reported exactly and may
     exceed the materialization ceiling; no capacity check applies here.
     """
     if not 0 < kappa < 0.5:
@@ -893,8 +899,7 @@ def cost_model(n: int, alpha: float, beta: float, kappa: float) -> CostModel:
     d = max(1, math.ceil(nu * r * beta * ln_n))
     if B >= 1:
         try:
-            spec = problem(Target.EXP_NEG, repr(B), repr(n ** -beta))
-            d = find_degree(spec).D_upper
+            d = find_degree(_kernel_problem(repr(B), repr(n ** -beta))).D_upper
             source = "certificate"
         except CapacityError:
             pass

@@ -199,7 +199,7 @@ def cheb_extrema_and_roots(d: int, bits: int = DEFAULT_BITS):
 
 def solve_rate_level(level: HPReal, hi: HPReal,
                      bits: int = DEFAULT_BITS) -> HPReal:
-    """Solve decay_rate(x) = level for x > 0 by Newton from the right.
+    """Solve decay_rate(x) = level for x >= 0 by Newton from the right.
 
     The start hi is doubled a bounded number of times until
     decay_rate(hi) <= level.  The profile is decreasing and concave on
@@ -211,6 +211,8 @@ def solve_rate_level(level: HPReal, hi: HPReal,
     level = HPReal(level, wb) if not isinstance(level, HPReal) else level.with_bits(wb)
     if level > 1:
         raise DomainError("decay_rate never exceeds 1 on x >= 0")
+    if level == 1:  # decay_rate(0) = 1, where Newton only halves x
+        return hpf(0, bits)
     x = HPReal(hi, wb) if not isinstance(hi, HPReal) else hi.with_bits(wb)
     for _ in range(64):
         if decay_rate(x) <= level:

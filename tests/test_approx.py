@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expcheb.coeffs as coeffs_mod
 import oracles
 from expcheb.approx import (
     ConstantName,
@@ -182,7 +183,7 @@ def test_critical_certificate_regression():
     # rate-constant estimate nu(1) * ln(1/delta)
     L = 12 * math.log(10)
     cert = find_degree(_spec(Target.EXP_NEG, 2 * L, "1e-12"))
-    assert cert.D_upper == 41
+    assert cert.D_upper == 40
     nu1 = float(mpmath.mpf(oracles.GOLDEN["nu_1"]))
     ratio = cert.D_upper / (nu1 * L)
     assert 0.8 <= ratio <= 1.2
@@ -190,14 +191,14 @@ def test_critical_certificate_regression():
 
 
 @pytest.mark.parametrize("target,B,delta,degrees", (
-    (Target.EXP_NEG, "201.3", "1e-8", (59, 53)),
-    (Target.EXP_POS, "101.7", "1e-6", (121, 118)),
+    (Target.EXP_NEG, "201.3", "1e-8", (58, 53)),
+    (Target.EXP_POS, "101.7", "1e-6", (120, 118)),
     # D_upper above 8*lam: the tail table must grow past its first cutoff
-    (Target.EXP_NEG, "1", "1e-40", (25, 24)),
-    (Target.EXP_NEG, "1", "1e-90", (49, 47)),
-    (Target.EXP_POS, "2", "1e-100", (61, 59)),
+    (Target.EXP_NEG, "1", "1e-40", (24, 24)),
+    (Target.EXP_NEG, "1", "1e-90", (48, 47)),
+    (Target.EXP_POS, "2", "1e-100", (60, 59)),
     # thousands of tail brackets read from one table
-    (Target.EXP_POS, "2000", "1e-3", (2236, 2232)),
+    (Target.EXP_POS, "2000", "1e-3", (2235, 2232)),
 ))
 def test_certify_wide_degrees_pinned(target, B, delta, degrees):
     # the benchmark's certify-wide domains and the scan's edge cases, pinned
@@ -208,12 +209,13 @@ def test_certify_wide_degrees_pinned(target, B, delta, degrees):
 
 
 def test_find_degree_reads_the_tail_bounds_table():
-    # D_upper <= 8*lam, so find_degree's table and tail_bounds(D_upper)
-    # share one cutoff and must agree to the last bit
+    # D_upper + 1 <= 8*lam, so find_degree's table and the tail of the
+    # degree-D_upper truncation, tail_bounds(D_upper + 1), share one
+    # cutoff and must agree to the last bit
     spec = _spec(Target.EXP_NEG, "201.3", "1e-8")
     cert = find_degree(spec)
-    assert cert.D_upper <= 8 * spec.lam.to_float()
-    tb = tail_bounds(cert.D_upper, spec.lam, spec.target, 128)
+    assert cert.D_upper + 1 <= 8 * spec.lam.to_float()
+    tb = tail_bounds(cert.D_upper + 1, spec.lam, spec.target, 128)
     assert cert.tail_upper_at_D.to_fraction() == tb.upper.to_fraction()
 
 
@@ -230,6 +232,8 @@ def test_certificate_sandwich_against_minimax():
         (Target.EXP_NEG, 2, "1e-4"),
         (Target.EXP_NEG, 9, "1e-6"),
         (Target.EXP_POS, 3, "1e-5"),
+        (Target.EXP_NEG, 8, "1e-3"),
+        (Target.EXP_NEG, 9, "5e-4"),
     )
     for target, B, delta in cases:
         spec = _spec(target, B, delta)
@@ -239,6 +243,10 @@ def test_certificate_sandwich_against_minimax():
         mm_up = minimax_error(spec, cert.D_upper)
         assert mm_up.to_fraction() < spec.delta_frac * Fraction(10 ** 7 + 1,
                                                                 10 ** 7)
+        # and no smaller degree does, so the certificate is exactly d
+        mm_below = minimax_error(spec, cert.D_upper - 1)
+        assert mm_below.to_fraction() > spec.delta_frac * Fraction(
+            10 ** 7 - 1, 10 ** 7)
         # and the witnessed floor truly blocks smaller degrees
         mm_low = minimax_error(spec, cert.D_lower - 1)
         assert mm_low.to_fraction() > spec.delta_frac * Fraction(10 ** 7 - 1,
@@ -519,6 +527,24 @@ def test_export_rejects_foreign_certificate():
     cert_a = find_degree(spec_a)
     with pytest.raises(DomainError):
         export_polynomial(spec_b, cert_a)
+
+
+def test_export_builds_one_bessel_family(monkeypatch):
+    # the truncation tail comes from the certificate, so export builds
+    # only the family of its own coefficients
+    spec = _spec(Target.EXP_NEG, "201.3", "1e-8")
+    cert = find_degree(spec)
+    calls = []
+    family = coeffs_mod._bessel_family
+
+    def spy(V, lam, bits):
+        calls.append(V)
+        return family(V, lam, bits)
+
+    monkeypatch.setattr(coeffs_mod, "_bessel_family", spy)
+    poly = export_polynomial(spec, cert)
+    assert calls == [cert.D_upper]
+    assert poly.certified_sup_bound.to_fraction() < spec.delta_frac
 
 
 @settings(max_examples=25, deadline=None)

@@ -373,7 +373,7 @@ def test_reference_dimension_stays_plain():
     w = rng.uniform(0.0, 1.0, 1024)
     inst = make_instance(X, Y, w, "1e-3", B=9)
     res = solve(inst)
-    assert res.M == math.comb(18, 9) and res.degree == 9
+    assert res.M == math.comb(17, 8) and res.degree == 8
     assert not res.used_high_precision
     assert res.float_bound_source == "a-priori"
     assert res.float_error_bound <= 1e-3 / 2
@@ -799,8 +799,10 @@ def test_cost_model_certifies_when_B_allows():
     n = 2 ** 32
     cm = cost_model(n, 1.0, 1.0, 0.3)
     assert cm.degree_source == "certificate"
-    spec = problem(Target.EXP_NEG, repr(0.3 * math.log(n)), repr(n ** -1.0))
-    assert cm.degree == find_degree(spec).D_upper
+    # the problem kernel_map certifies: exp(-z) at delta/2
+    spec = problem(Target.EXP_NEG, repr(0.3 * math.log(n)),
+                   Fraction(repr(n ** -1.0)) / 2)
+    assert cm.degree == find_degree(spec).D_upper == 15
 
 
 def test_cost_model_validation():

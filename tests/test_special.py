@@ -228,6 +228,8 @@ def test_solve_rate_level_generic():
     # solve G = -3 from a start far right of the root, confirm the residual
     root = solve_rate_level(hpf(-3, BITS), hpf(50, BITS), BITS)
     assert abs((decay_rate(root) + 3).to_float()) < 1e-40
+    # level 1 is decay_rate(0): the exact root 0
+    assert solve_rate_level(hpf(1, 128), hpf(3, 128), 128).to_fraction() == 0
 
 
 @settings(max_examples=40)
