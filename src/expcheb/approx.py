@@ -216,10 +216,14 @@ def cert_precision(spec: ProblemSpec) -> int:
     """Coefficient precision used when exporting a certified polynomial.
 
     Scales with the tolerance and, for the growing target, with the
-    magnitude e^{2 lam} the coefficients must resolve against.
+    magnitude e^{2 lam} the coefficients must resolve against.  The
+    tolerance's share, ceil(log2(1/delta)), is exact in integers, so a
+    delta below the double range is no special case.
     """
-    dbits = max(0, math.ceil(-math.log2(float(spec.delta_frac))
-                             if spec.delta_frac > 0 else 0))
+    num, den = spec.delta_frac.numerator, spec.delta_frac.denominator
+    dbits = max(0, den.bit_length() - num.bit_length() - 1)
+    while num << dbits < den:    # the least dbits with 2^dbits delta >= 1
+        dbits += 1
     extra = 0
     if spec.target is Target.EXP_POS:
         extra = math.ceil(2 * spec.lam.to_float() * math.log2(math.e)) + 8

@@ -84,36 +84,62 @@ rounding take gamma_{2d+9} at u, the sums gamma_{n+R} at 2^-104, and as
 gamma_{2d+9} <= 1 a second gamma_{n+R} covers their cross term, so its
 error is at most (gamma_{2d+9}(u) + gamma_{2(n+R)}(2^-104)) A_i.
 
-The precision is chosen before any feature row is built, from two
-O(nm + d) bounds on max_i A_i.  With |c_ijk| = |q_s| s! / (i! j! k!) 2^j
-for s = i + j + k, summing the terms of A_i over beta and over
-i + j + k = s undoes the factorization (multinomial theorem, twice):
+The precision is chosen before any feature row is built.  With
+|c_ijk| = |q_s| s! / (i! j! k!) 2^j for s = i + j + k, summing the terms
+of A_i over beta and over i + j + k = s undoes the factorization
+(multinomial theorem, twice):
 
     A_i = sum_n |w_n| Q_abs(|a'_i| + 2 <|x'_i|, |y'_n|> + |c'_n|),
 
 with Q_abs(s) = sum_k |q_k| s^k, whose ratio to |q(s)| is the condition
-number of evaluating q.  Q_abs is nondecreasing on s >= 0 and
-<|x|, |y|> <= sqrt(a c) by Cauchy-Schwarz (a, c the squared norms), so
+number of evaluating q.  Q_abs is nondecreasing on s >= 0, and
+<|x|, |y|> <= sqrt(a c) by Cauchy-Schwarz (a, c the squared norms).
 
-    A_lo = ||w||_1 Q_abs(max |a'|) <= max_i A_i
-         <= ||w||_1 Q_abs(max |a'| + 2 sqrt(a_max c_max) + max |c'|) = A_hi,
+One pass per side reads fl(||p'||^2) per row; max |a'| and max |c'| are
+the rows' own doubles, and the float maximum of the squared norms over
+1 - gamma_m, rounded up, bounds the exact one (gamma_m covers the m
+roundings of each sum of squares).  ||w||_1 is read once, by math.fsum,
+so w_lo = (1 - u) fl(||w||_1) <= ||w||_1 <= w_lo / (1 - u)^2.  Then, in
+O(d) and exactly in rationals,
 
-evaluated exactly in rationals: max |a'|, max |c'| are the rows' own
-doubles, the float maxima of the squared norms are divided by
-1 - gamma_m and rounded up, the square root is rounded up, and a float
-||w||_1 within gamma_n of the exact one is divided by 1 - gamma_n in A_hi
-and multiplied by it in A_lo.  The measured pass is the plain matvec of
-the majorant (|x'|, |y'|, |a'|, |c'|, |w|, |Horner coefficients| and
-|pair scales|), nonnegative data, so its float max_i A_i over
-1 - gamma_N bounds max_i A_i.
+    A_lo = w_lo Q_abs(max |a'|) <= max_i A_i
+         <= w_lo / (1 - u)^2 Q_abs(max |a'| + 2 r + max |c'|) = A_hi,
+
+with r >= sqrt(a_max c_max) the product of the two square roots rounded
+up.  The binned bound refines A_hi with box pairs (after Greengard and
+Strain, SISC 1991).  Each side is sorted by fl(||p'||^2) and cut into
+at most _BINS quantile bins.  Bin I of X keeps s_I, its largest
+fl(||x'||^2), and a_I, its largest |a'|; bin J of Y keeps s_J, c_J and
+W_J, the float sum of its |w_n|, within gamma_n of the exact one.  For
+x'_i in bin I, the bounds above and Q_abs(l s) <= l^d Q_abs(s) for
+l >= 1 give
+
+    A_i <= sum_J W_J / (1 - gamma_n) Q_abs(a_I + 2 sqrt(s_I s_J) + c_J)
+           / (1 - gamma_m)^d.
+
+The sum runs in doubles over the K_x x K_y bin pairs, in
+O(n log n + _BINS^2 d) in all.  The argument takes 5 roundings (two
+square roots, their product, two sums), each raised to the power d
+through Q_abs.  Horner on the doubles of |q_k| takes 2d + 1, the
+product by W_J 1, and the sum over J K_y - 1.  Every operand is
+nonnegative, so in the standard model the computed maximum is at least
+the exact one times (1 - u)^(7d + K_y + 1), and
+
+    A_bin = fl(max_I sum_J ...) / ((1 - gamma_n) (1 - gamma_m)^d
+                                    (1 - gamma_{7d + K_y + 1})).
+
+The measured pass is the plain matvec of the majorant (|x'|, |y'|,
+|a'|, |c'|, |w|, |Horner coefficients| and |pair scales|), nonnegative
+data, so its float max_i A_i over 1 - gamma_N bounds max_i A_i.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
 and then the compensated rung.  A rung bounds the error by its
-coefficient times A plus shift_slack, in rationals rounded up, and takes
-A = A_hi when that meets the budget.  It fails without a pass when
-A = A_lo misses it: the measured A is at least A_lo.  Otherwise the
-measured pass, run at most once per call, decides it.  SoundnessError
-ends a ladder whose last rung fails.
+coefficient times A plus shift_slack, in rationals rounded up.  It takes
+A = A_hi when that meets the budget.  It fails with no further work
+when A = A_lo misses it, because every upper bound is at least A_lo.
+Otherwise it tries A = A_bin, and then the measured pass; each is
+computed at most once per call.  SoundnessError ends a ladder whose last
+rung fails.
 """
 
 from __future__ import annotations
@@ -145,6 +171,7 @@ MAX_MATRIX_BYTES = 2_000_000_000
 _CHUNK_BYTES = 8_000_000     # one chunk of feature rows (plain path)
 _DD_CHUNK_BYTES = 1_000_000  # one chunk of feature rows (compensated path)
 _BRUTE_CHUNK = 256           # rows of x per block of kde_bruteforce
+_BINS = 128                  # quantile bins per side of the binned bound
 
 _EPS = 2.0 ** -53
 _EPS_DD = 2.0 ** -104
@@ -204,12 +231,13 @@ class KdeResult:
     """Output of kde_matvec.
 
     `elapsed_build` is the time spent building the plain pass's feature
-    rows, plus the absolute-value pass when the a priori bound misses the
-    budget.  It is 0 when the compensated path is chosen from the a priori
-    bounds alone.  `elapsed_matvec` is the rest: the bounds, the plain
-    BLAS products or the compensated pass, its rows included.
-    `float_bound_source` says which bound certified the run: "a-priori"
-    (the O(nm + d) bound A_hi) or "measured" (the absolute-value pass).
+    rows, plus the absolute-value pass when it runs.  It is 0 on the
+    compensated path unless that pass ran.  `elapsed_matvec` is the rest:
+    the bounds (the binned one included), the plain BLAS products or the
+    compensated pass, its rows included.  `float_bound_source` says which
+    bound on max_i A_i certified the run (module docstring): "a-priori"
+    (A_hi, from the norm maxima), "binned" (A_bin, from box pairs of
+    norm bins) or "measured" (the absolute-value pass).
     """
     v: np.ndarray
     M: int                         # feature rank R
@@ -218,7 +246,7 @@ class KdeResult:
     degree: int
     float_error_bound: float       # certified per-entry bound / ||w||_1
     used_high_precision: bool
-    float_bound_source: str        # "a-priori" or "measured"
+    float_bound_source: str        # "a-priori", "binned" or "measured"
 
 
 def feature_count(m: int, d: int) -> int:
@@ -632,10 +660,12 @@ def _round_down(q: Fraction) -> float:
     return f if Fraction(f) <= q else math.nextafter(f, 0.0)
 
 
-def _norm_maxima(P: np.ndarray, fm: FeatureMap) -> tuple[Fraction, float]:
-    """(max |a'|, an upper bound on max ||p||^2) over the rows of P: the
-    first from the rows' own doubles, the second the float maximum over
-    1 - gamma_m, rounded up."""
+def _norms(P: np.ndarray, fm: FeatureMap
+           ) -> tuple[np.ndarray, Fraction, float]:
+    """One side's squared norms, read by every bound: fl(||p'||^2) per
+    row, max |a'| from the rows' own doubles, and the float maximum of
+    the squared norms over 1 - gamma_m, rounded up, which bounds the exact
+    max ||p'||^2."""
     s = _norm_sq(P)
     s_max = float(s.max())
     g = _gamma(P.shape[1], Fraction(_EPS))
@@ -644,13 +674,15 @@ def _norm_maxima(P: np.ndarray, fm: FeatureMap) -> tuple[Fraction, float]:
     if hi == math.inf:
         raise DomainError("squared norms of the centered coordinates "
                           "overflow double precision")
-    return Fraction(float(np.abs(s - fm.shift).max())), hi
+    return s, Fraction(float(np.abs(s - fm.shift).max())), hi
 
 
-def _abs_sum_bounds(Xp: np.ndarray, Yp: np.ndarray, w: np.ndarray,
+def _abs_sum_bounds(xs: tuple, ys: tuple, w_lo: Fraction,
                     fm: FeatureMap) -> tuple[Fraction, Fraction]:
-    """(A_lo, A_hi) with A_lo <= max_i A_i <= A_hi, in O(nm + d), from the
-    centered coordinates Xp, Yp (module docstring)."""
+    """(A_lo, A_hi) with A_lo <= max_i A_i <= A_hi, in O(d) from the sides'
+    _norms and w_lo <= ||w||_1 <= w_lo / (1 - u)^2 (module docstring)."""
+    _, a_abs, a_hi = xs
+    _, c_abs, c_hi = ys
     q_abs = [abs(c) for c in fm.shifted]
 
     def Q_abs(s: Fraction) -> Fraction:
@@ -659,18 +691,48 @@ def _abs_sum_bounds(Xp: np.ndarray, Yp: np.ndarray, w: np.ndarray,
             acc = acc * s + c
         return acc
 
-    a_abs, a_hi = _norm_maxima(Xp, fm)
-    c_abs, c_hi = _norm_maxima(Yp, fm)
-    s = math.sqrt(a_hi) * math.sqrt(c_hi)
-    while Fraction(s) ** 2 < Fraction(a_hi) * Fraction(c_hi):
-        s = math.nextafter(s, math.inf)
-    w_fl = Fraction(float(np.abs(w).sum()))
-    g = _gamma(w.shape[0], Fraction(_EPS))
-    return (w_fl * (1 - g) * Q_abs(a_abs),
-            w_fl / (1 - g) * Q_abs(a_abs + 2 * Fraction(s) + c_abs))
+    r = math.sqrt(a_hi) * math.sqrt(c_hi)
+    while Fraction(r) ** 2 < Fraction(a_hi) * Fraction(c_hi):
+        r = math.nextafter(r, math.inf)
+    u = Fraction(_EPS)
+    return (w_lo * Q_abs(a_abs),
+            w_lo / (1 - u) ** 2 * Q_abs(a_abs + 2 * Fraction(r) + c_abs))
 
 
-def _budget(inst: KdeInstance, fm: FeatureMap
+def _binned_abs_bound(x_sq: np.ndarray, y_sq: np.ndarray, w: np.ndarray,
+                      fm: FeatureMap) -> Fraction | None:
+    """An upper bound on max_i A_i from at most _BINS quantile bins per
+    side of the rows' squared norms fl(||p'||^2), in
+    O(n log n + _BINS^2 d) (module docstring); None when the double
+    evaluation overflows."""
+    n = w.shape[0]
+    bins = min(n, _BINS)
+    starts = np.arange(bins) * n // bins
+
+    def per_bin(sq):
+        """sqrt of each bin's largest fl(||p'||^2), and its largest |a'|."""
+        return (np.sqrt(np.maximum.reduceat(sq, starts)),
+                np.maximum.reduceat(np.abs(sq - fm.shift), starts))
+    root_x, a_max = per_bin(np.sort(x_sq))
+    order = np.argsort(y_sq)
+    root_y, c_max = per_bin(y_sq[order])
+    W = np.add.reduceat(np.abs(w[order]), starts)
+    t = (a_max[:, None] + 2 * (root_x[:, None] * root_y)) + c_max
+    q = np.abs(fm.horner[0])     # fl(|q_k|): row s = 0 holds q_k
+    Q = np.full_like(t, q[-1])
+    for c in q[-2::-1]:
+        Q *= t
+        Q += c
+    total = float((Q @ W).max())
+    if not math.isfinite(total):
+        return None
+    u = Fraction(_EPS)
+    return Fraction(total) / ((1 - _gamma(n, u))
+                              * (1 - _gamma(fm.m, u)) ** fm.d
+                              * (1 - _gamma(7 * fm.d + bins + 1, u)))
+
+
+def _budget(inst: KdeInstance, xs: tuple, ys: tuple
             ) -> tuple[float, float, Fraction]:
     """(budget, shift_slack, w_lo): the float half of delta times ||w||_1
     rounded down, the allowance for the moved arguments times ||w||_1
@@ -680,8 +742,7 @@ def _budget(inst: KdeInstance, fm: FeatureMap
     u = Fraction(_EPS)
     g = _gamma(inst.m, u)
     moved = 8 * inst.m * inst.B * u * (1 + 4 * u)
-    for abs_max, norm_hi in (_norm_maxima(inst.X, fm),
-                             _norm_maxima(inst.Y, fm)):
+    for _, abs_max, norm_hi in (xs, ys):
         moved += g * Fraction(norm_hi) + u / (1 - u) * abs_max
     w_fl = Fraction(math.fsum(np.abs(inst.w).tolist()))
     return (_round_down(inst.delta / 2 * (1 - u) * w_fl),
@@ -712,7 +773,8 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
     inst = replace(inst, X=inst.X - center, Y=inst.Y - center)
     if not (np.isfinite(inst.X).all() and np.isfinite(inst.Y).all()):
         raise DomainError("non-finite input coordinate")
-    budget, shift_slack, w_lo = _budget(inst, fm)
+    xs, ys = _norms(inst.X, fm), _norms(inst.Y, fm)
+    budget, shift_slack, w_lo = _budget(inst, xs, ys)
     N = gamma_ops(inst.n, fm)
     slack = Fraction(shift_slack)
     u = Fraction(_EPS)
@@ -724,23 +786,31 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
               + _gamma(2 * sums, Fraction(_EPS_DD)))]
 
     t0 = time.perf_counter()
-    A_lo, A_hi = _abs_sum_bounds(inst.X, inst.Y, inst.w, fm)
-    A_measured = None   # fl(max_i A_i) / (1 - gamma_N), measured at most once
+    A_lo, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
+    # each computed at most once per call, and only when a rung needs it
+    A_binned = None
+    A_measured = None   # fl(max_i A_i) / (1 - gamma_N)
     build_s = 0.0
     for use_high, g in {None: rungs, "plain": rungs[:1],
                         "high": rungs[1:]}[force]:
         bound = _round_up(g * A_hi + slack)
         source = "a-priori"
         if bound > budget and _round_up(g * A_lo + slack) <= budget:
-            if A_measured is None:
-                t = time.perf_counter()
-                a = _abs_pass(inst, fm)
-                # an overflowed pass measures nothing past A_hi
-                A_measured = Fraction(a) / (1 - _gamma(N, u)) \
-                    if math.isfinite(a) else A_hi
-                build_s += time.perf_counter() - t
-            bound = _round_up(g * A_measured + slack)
-            source = "measured"
+            if A_binned is None:
+                binned = _binned_abs_bound(xs[0], ys[0], inst.w, fm)
+                A_binned = A_hi if binned is None else binned
+            bound = _round_up(g * A_binned + slack)
+            source = "binned"
+            if bound > budget:
+                if A_measured is None:
+                    t = time.perf_counter()
+                    a = _abs_pass(inst, fm)
+                    # an overflowed pass measures nothing past A_hi
+                    A_measured = Fraction(a) / (1 - _gamma(N, u)) \
+                        if math.isfinite(a) else A_hi
+                    build_s += time.perf_counter() - t
+                bound = _round_up(g * A_measured + slack)
+                source = "measured"
         if bound <= budget:
             break
     else:
@@ -749,6 +819,7 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
             f"bound {bound:g} exceeds the budget {budget:g}"
             + ("; drop force='plain'" if force == "plain" else ""))
 
+    del xs, ys    # the passes need no squared norms; free them first
     if use_high:
         v = _matvec_dd(inst, fm)
     else:

@@ -17,6 +17,7 @@ from expcheb.approx import (
     Regime,
     _shifted_cheb_rows,
     build_series,
+    cert_precision,
     classify_regime,
     coefficient_bit_budget,
     degree_lower_bound,
@@ -68,6 +69,29 @@ def test_tiny_tolerance_survives_parsing():
     assert 0 < spec.delta_frac < Fraction(1, 10 ** 299)
     L = log_inv_delta(spec, 128).to_float()
     assert abs(L - 300 * math.log(10)) < 1e-9
+
+
+@pytest.mark.parametrize("delta", ("1e-8", "1e-6", "5e-4", "5e-13", "1e-3",
+                                   "2e-13", "0.9"))
+def test_cert_precision_matches_the_double_reading(delta):
+    # for a delta whose double is normal, the exact ceil(log2(1/delta))
+    # is the one the double gives, so exports keep their precision
+    spec = problem(Target.EXP_NEG, 9, delta)
+    want = math.ceil(-math.log2(float(spec.delta_frac)))
+    assert cert_precision(spec) == cert_precision(
+        problem(Target.EXP_NEG, 9, "0.9")) - 1 + want
+
+
+def test_tolerance_below_the_double_range_certifies():
+    # 1e-400 underflows a double; the precision reads log2(1/delta) from
+    # the rational, so find_degree certifies instead of raising
+    spec = problem(Target.EXP_NEG, 1, "1e-400")
+    assert float(spec.delta_frac) == 0.0
+    assert cert_precision(spec) == cert_precision(
+        problem(Target.EXP_NEG, 1, "0.9")) - 1 + 1329
+    cert = find_degree(spec)
+    assert cert.D_lower <= cert.D_upper == 166
+    assert cert.tail_upper_at_D.to_fraction() < spec.delta_frac
 
 
 def _ulp(q: Fraction, bits: int = 128) -> Fraction:

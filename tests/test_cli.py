@@ -74,6 +74,13 @@ def test_degree_tiny_tolerance(capsys):
     assert doc["certificate"]["D_upper"] > 80
 
 
+def test_degree_below_the_double_range(capsys):
+    # 1e-400 underflows a double and used to end in a bare ValueError
+    code, out, _ = _run(capsys, ["degree", "--B", "1", "--delta", "1e-400"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["D_upper"] == 166
+
+
 def test_degree_csv_format(capsys):
     code, out, _ = _run(capsys, ["degree", "--B", "4", "--delta", "1e-3",
                                  "--format", "csv"])

@@ -42,6 +42,7 @@ from expcheb.kde import (
     _EPS,
     _abs_pass,
     _abs_sum_bounds,
+    _binned_abs_bound,
     _dd_sum_tree,
     _gamma,
     _midrange,
@@ -483,6 +484,13 @@ def _centered(inst):
     return inst.X - center, inst.Y - center
 
 
+def _sides(inst, fm):
+    """The centered instance and its sides' norms, as kde_matvec has them."""
+    Xp, Yp = _centered(inst)
+    return (dataclasses.replace(inst, X=Xp, Y=Yp), kde_mod._norms(Xp, fm),
+            kde_mod._norms(Yp, fm))
+
+
 def _shifted(row, fm):
     """a' = fl(fl(||p||^2) - t0/2), squares summed in coordinate order."""
     s = 0.0
@@ -502,7 +510,10 @@ def _exact_abs_sum_max(inst, fm):
     q_abs = [abs(c) for c in fm.shifted]
 
     def Q_abs(t):
-        return sum(c * t ** k for k, c in enumerate(q_abs))
+        acc = Fraction(0)
+        for c in reversed(q_abs):
+            acc = acc * t + c
+        return acc
     return max(sum(abs(Fraction(float(wn))) * Q_abs(
         a + 2 * sum(p * q for p, q in zip(x, y)) + c)
         for y, c, wn in zip(ys, c_abs, inst.w)) for x, a in zip(xs, a_abs))
@@ -543,6 +554,7 @@ _ROUNDS_DOWN = np.array([[564775602, 740408105, 731587927, 918716543,
                         ) / 2.0 ** 30
 
 
+@functools.lru_cache(maxsize=None)
 def _bound_cases():
     rng = np.random.default_rng(77)
     spec = problem(Target.EXP_NEG, 9, "1e-6")
@@ -565,15 +577,17 @@ def _bound_cases():
     wide = (rng.integers(-8, 9, (5, 8)) / 16,
             rng.integers(-8, 9, (5, 8)) / 16,
             rng.integers(-8, 9, 5) / 8, 9)
-    for X, Y, w, B in (far, cancel, single, wide):
-        for p in (poly, power):
-            yield (make_instance(X, Y, w, "1e-3", B=B),
-                   expand_kernel_poly(p, X.shape[1]))
+    return tuple((make_instance(X, Y, w, "1e-3", B=B),
+                  expand_kernel_poly(p, X.shape[1]))
+                 for X, Y, w, B in (far, cancel, single, wide)
+                 for p in (poly, power))
 
 
 def test_a_priori_bounds_enclose_exact_abs_sum():
     for inst, fm in _bound_cases():
-        A_lo, A_hi = _abs_sum_bounds(*_centered(inst), inst.w, fm)
+        centered, xs, ys = _sides(inst, fm)
+        _, _, w_lo = kde_mod._budget(centered, xs, ys)
+        A_lo, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
         exact = _exact_abs_sum_max(inst, fm)
         assert A_lo <= exact <= A_hi
     # the single-row case rests on the upward rounding of the squared norm
@@ -591,8 +605,7 @@ def test_shift_slack_covers_the_rounded_norms():
     inst = make_instance(X, Y, rng.normal(size=40), "1e-6", B=9)
     _, fm = kernel_map(3, 9, "1e-6")
     Xp, Yp = _centered(inst)
-    _, shift_slack, _ = kde_mod._budget(
-        dataclasses.replace(inst, X=Xp, Y=Yp), fm)
+    _, shift_slack, _ = kde_mod._budget(*_sides(inst, fm))
 
     def rounding(P):
         h = Fraction(fm.shift)
@@ -617,8 +630,9 @@ def _lowdim_instance(n=4096, seed=1):
 
 def _escalate_instance(n=1024, seed=1, delta="1e-12"):
     # the kde-escalate shape: m = 1, side 4 (B ~ 16), delta 1e-12, where
-    # the measured pass certifies plain doubles; at delta = 2e-13 the
-    # measured plain bound misses and the compensated rung certifies
+    # the binned bound certifies plain doubles; at delta = 2e-13 the
+    # binned and measured plain bounds miss and the compensated rung
+    # certifies
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 4.0, (n, 1))
     Y = rng.uniform(0.0, 4.0, (n, 1))
@@ -639,12 +653,58 @@ def _ends_instance(n=1024, seed=1):
 def test_lower_bound_below_measured_abs_sum():
     for inst in (_ends_instance(), _escalate_instance()):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
-        Xp, Yp = _centered(inst)
-        A_lo, _ = _abs_sum_bounds(Xp, Yp, inst.w, fm)
+        centered, xs, ys = _sides(inst, fm)
+        _, _, w_lo = kde_mod._budget(centered, xs, ys)
+        A_lo, _ = _abs_sum_bounds(xs, ys, w_lo, fm)
         abs_scale = 1.0 / (1.0 - _gamma(gamma_ops(inst.n, fm), _EPS))
-        measured = _abs_pass(dataclasses.replace(inst, X=Xp, Y=Yp), fm) \
-            * abs_scale
+        measured = _abs_pass(centered, fm) * abs_scale
         assert A_lo <= Fraction(measured)
+
+
+def _straddle_instance():
+    # eight points per side of one squared norm, 25/64, and two of 9/4; the
+    # pooled midrange is 0, so centering moves nothing, and with a few
+    # bins the equal norms straddle the bins' edges
+    ring = [(0.625, 0.0), (0.0, 0.625), (-0.625, 0.0), (0.0, -0.625),
+            (0.375, 0.5), (-0.375, 0.5), (0.5, -0.375), (-0.5, -0.375)]
+    X = np.array(ring + [(1.5, 0.0), (-1.5, 0.0)])
+    Y = np.array(ring[::-1] + [(0.0, 1.5), (0.0, -1.5)])
+    w = np.array([0.5, -1.0, 0.25, 0.75, -0.5, 1.0, -0.25, 0.125, 1.0,
+                  -0.75])
+    # B = 5 covers the squared distances, at most 2.125^2 = 4.52
+    return make_instance(X, Y, w, "1e-3", B=5)
+
+
+def _binned_cases():
+    # far from the origin, cancelling weights, n = 1 with Cauchy-Schwarz
+    # tight, and m = 8 (_bound_cases); the kde-escalate and _ends shapes
+    # at small n; an m = 3 box; equal norms across bin edges
+    yield from _bound_cases()
+    for inst in (_escalate_instance(n=24), _ends_instance(n=24)):
+        yield inst, kernel_map(inst.m, inst.B, inst.delta)[1]
+    rng = np.random.default_rng(31)
+    X, Y = _box_points(rng, 24, 3, 9)
+    yield (make_instance(X, Y, rng.normal(size=24), "1e-6", B=9),
+           kernel_map(3, 9, "1e-6")[1])
+    yield _straddle_instance(), kernel_map(2, 5, "1e-3")[1]
+
+
+def test_binned_bound_encloses_exact_abs_sum(monkeypatch):
+    # every case has n <= 24 below _BINS, so each point is its own bin;
+    # 5 and 2 bins put several points, and equal norms, in one bin.  One
+    # point per side is A_hi's own box pair, evaluated in doubles, and may
+    # pass A_hi by its rounding allowance
+    bin_counts = (kde_mod._BINS, 5, 2)
+    for inst, fm in _binned_cases():
+        exact = _exact_abs_sum_max(inst, fm)
+        centered, xs, ys = _sides(inst, fm)
+        _, _, w_lo = kde_mod._budget(centered, xs, ys)
+        _, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
+        allowance = Fraction(1, 2 ** 40) if inst.n == 1 else 0
+        for bins in bin_counts:
+            monkeypatch.setattr(kde_mod, "_BINS", bins)
+            binned = _binned_abs_bound(xs[0], ys[0], centered.w, fm)
+            assert exact <= binned <= A_hi * (1 + allowance)
 
 
 def _spy_rows(monkeypatch):
@@ -663,10 +723,33 @@ def _spy_rows(monkeypatch):
 
 def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
     calls = _spy_rows(monkeypatch)
+    binned = []
+    real = kde_mod._binned_abs_bound
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound",
+                        lambda *args: binned.append(args) or real(*args))
     res = solve(_lowdim_instance())
     assert not res.used_high_precision
     assert res.float_bound_source == "a-priori"
     assert calls and not any(majorant for _, majorant in calls)
+    assert not binned
+
+
+def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
+    # A_hi misses the plain budget thousands of times over and A_lo does
+    # not rule plain doubles out; the binned bound certifies them with no
+    # majorant row, and v is bitwise the measured path's
+    calls = _spy_rows(monkeypatch)
+    res = solve(_escalate_instance())
+    assert res.float_bound_source == "binned"
+    assert not res.used_high_precision
+    assert res.float_error_bound <= 1e-12 / 2
+    assert calls and not any(majorant for _, majorant in calls)
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
+    measured = solve(_escalate_instance())
+    assert measured.float_bound_source == "measured"
+    assert not measured.used_high_precision
+    assert measured.v.tobytes() == res.v.tobytes()
+    assert measured.float_error_bound <= res.float_error_bound
 
 
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
@@ -688,13 +771,15 @@ def test_escalate_shape_builds_no_plain_rows(monkeypatch):
 
 
 def test_a_priori_paths_match_the_measured_path(monkeypatch):
-    # with bounds that decide nothing, the absolute-value pass picks the
-    # precision; v and the precision must not depend on which bound did
+    # with a priori and binned bounds that decide nothing, the
+    # absolute-value pass picks the precision; v and the precision must not
+    # depend on which bound did
     cases = [(_lowdim_instance(), False), (_ends_instance(), True)]
     fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
     fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
     monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
                         lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
     for (inst, high), fm, a in zip(cases, fms, fast):
         b = kde_matvec(inst, fm)
         assert a.float_bound_source == "a-priori"
@@ -712,6 +797,7 @@ def test_measured_bound_is_rounded_up(monkeypatch):
     # these 80 runs
     monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
                         lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 40)), int(rng.integers(1, 3))
@@ -719,10 +805,9 @@ def test_measured_bound_is_rounded_up(monkeypatch):
                              rng.uniform(0, 1.2, (n, m)),
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
-        Xp, Yp = _centered(inst)
-        centered = dataclasses.replace(inst, X=Xp, Y=Yp)
+        centered, xs, ys = _sides(inst, fm)
         abs_max = Fraction(_abs_pass(centered, fm))
-        _, shift_slack, w_lo = kde_mod._budget(centered, fm)
+        _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
         u = Fraction(_EPS)
@@ -831,7 +916,7 @@ def test_float_budget_stays_below_exact_half_delta():
     exact = delta / 2 * w1
     assert Fraction(float(delta) / 2 * float(w.sum())) > exact
     _, fm = kernel_map(inst.m, inst.B, delta)
-    budget, shift_slack, w_lo = kde_mod._budget(inst, fm)
+    budget, shift_slack, w_lo = kde_mod._budget(*_sides(inst, fm))
     assert Fraction(budget) <= exact
     assert w_lo <= w1
     u = Fraction(_EPS)
@@ -878,7 +963,12 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
     with mock.patch.object(kde_mod, "_abs_sum_bounds",
                            lambda *args: undecided):
         results += [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
-    assert {r.float_bound_source for r in results[2:]} == {"measured"}
+        with mock.patch.object(kde_mod, "_binned_abs_bound",
+                               lambda *args: None):
+            results += [kde_matvec(inst, fm),
+                        kde_matvec(inst, fm, force="high")]
+    assert {r.float_bound_source for r in results[2:4]} == {"binned"}
+    assert {r.float_bound_source for r in results[4:]} == {"measured"}
     for res in results:
         gap = max(abs(Fraction(float(v)) - e) for v, e in zip(res.v, exact))
         assert gap <= Fraction(res.float_error_bound) * w1
