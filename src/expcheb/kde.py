@@ -26,7 +26,7 @@ g_s(c') = sum_k c_{s,0,k} c'^k, which is exact algebra
 (c_ijk = (-2)^j C(i+j, i) c_{i+j,0,k}), so only d + 1 Horner
 polynomials run per row.  The recentring is Higham's cure for an
 ill-conditioned sum (Accuracy and Stability of Numerical Algorithms,
-5.1): p's absolute sum P_abs(t) = sum |p_k| t^k grows like e^t on
+5.1): p's coefficient mass P_abs(t) = sum |p_k| t^k grows like e^t on
 [0, B], while q's coefficients are about e^-t0 (-1)^k / k!.  A nonzero
 table entry that is not a normal double raises SoundnessError.
 
@@ -106,40 +106,46 @@ O(d) and exactly in rationals,
          <= w_lo / (1 - u)^2 Q_abs(max |a'| + 2 r + max |c'|) = A_hi,
 
 with r >= sqrt(a_max c_max) the product of the two square roots rounded
-up.  The binned bound refines A_hi with box pairs (after Greengard and
-Strain, SISC 1991).  Each side is sorted by fl(||p'||^2) and cut into
-at most _BINS quantile bins.  Bin I of X keeps s_I, its largest
-fl(||x'||^2), and a_I, its largest |a'|; bin J of Y keeps s_J, c_J and
-W_J, the float sum of its |w_n|, within gamma_n of the exact one.  For
-x'_i in bin I, the bounds above and Q_abs(l s) <= l^d Q_abs(s) for
-l >= 1 give
+up.
 
-    A_i <= sum_J W_J / (1 - gamma_n) Q_abs(a_I + 2 sqrt(s_I s_J) + c_J)
-           / (1 - gamma_m)^d.
+The box bound refines A_hi with pairs of boxes (after Greengard and
+Strain, SISC 1991), which keep the direction that Cauchy-Schwarz drops.
+With h = t0/2, |a'| = -a' + 2 a'+ (a'+ = max(a', 0)) and
+a' >= ||x'||^2 - h - e_a, and likewise for c', the argument folds:
 
-The sum runs in doubles over the K_x x K_y bin pairs, in
-O(n log n + _BINS^2 d) in all.  The argument takes 5 roundings (two
-square roots, their product, two sums), each raised to the power d
-through Q_abs.  Horner on the doubles of |q_k| takes 2d + 1, the
-product by W_J 1, and the sum over J K_y - 1.  Every operand is
-nonnegative, so in the standard model the computed maximum is at least
-the exact one times (1 - u)^(7d + K_y + 1), and
+    |a'| + |c'| + 2 <|x'|, |y'|>
+        <= 2h + e_a + e_c + 2 a'+ + 2 c'+ - || |x'| - |y'| ||^2.
 
-    A_bin = fl(max_I sum_J ...) / ((1 - gamma_n) (1 - gamma_m)^d
-                                    (1 - gamma_{7d + K_y + 1})).
+Each side is cut into at most _BINS k-d leaves of |p'|: level by level,
+each node splits at its middle leaf, at a median of its widest
+coordinate (for m = 1, quantile bins).  Leaf I of X keeps the ranges
+[lo_I, hi_I] of its |x'| per coordinate and its largest a'; leaf J of Y
+the same, and W_J, the float sum of its |w_n|, within gamma_n of the
+exact one.  Every pair from leaves I and J has an argument of at most
 
-The measured pass is the plain matvec of the majorant (|x'|, |y'|,
-|a'|, |c'|, |w|, |Horner coefficients| and |pair scales|), nonnegative
-data, so its float max_i A_i over 1 - gamma_N bounds max_i A_i.
+    t_IJ = 2h + e_a + e_c + 2 a'_I+ + 2 c'_J+ - sum_l gap_l^2,
+    gap_l = max(0, lo_Il - hi_Jl, lo_Jl - hi_Il).
+
+In doubles, the head 2h + e_a + e_c is raised by 2 gamma_{m+5} S and
+rounded up, with S = 2h + e_a + e_c + max 2 a'_I+ + max 2 c'_J+.  The
+exact gap sum is at most S (the argument is nonnegative), so the m + 2
+roundings of a gap sum and the 3 of t_IJ's sums, on operands of about S
+at most, lower t_IJ by about (m + 5) u S; the raise covers twice that,
+and squares that underflow (S >= 2h >= 1/2).  Horner on the doubles of
+|q_k| then takes 2d + 1 roundings, the product by W_J 1 and the sum over
+J K_y - 1, all on nonnegative operands, so
+
+    A_box = fl(max_I sum_J W_J Q_abs(t_IJ))
+            / ((1 - gamma_n) (1 - gamma_{2d + K_y + 1})),
+
+in O(n log n log _BINS + _BINS^2 (m + d)) in all.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
 and then the compensated rung.  A rung bounds the error by its
-coefficient times A plus shift_slack, in rationals rounded up.  It takes
-A = A_hi when that meets the budget.  It fails with no further work
-when A = A_lo misses it, because every upper bound is at least A_lo.
-Otherwise it tries A = A_bin, and then the measured pass; each is
-computed at most once per call.  SoundnessError ends a ladder whose last
-rung fails.
+coefficient times A plus shift_slack, rounded up: A = A_hi if that meets
+the budget, else, unless A = A_lo misses it too (every upper bound is at
+least A_lo), A = A_box, computed at most once per call.  SoundnessError
+ends a ladder whose last rung fails.
 """
 
 from __future__ import annotations
@@ -171,7 +177,7 @@ MAX_MATRIX_BYTES = 2_000_000_000
 _CHUNK_BYTES = 8_000_000     # one chunk of feature rows (plain path)
 _DD_CHUNK_BYTES = 1_000_000  # one chunk of feature rows (compensated path)
 _BRUTE_CHUNK = 256           # rows of x per block of kde_bruteforce
-_BINS = 128                  # quantile bins per side of the binned bound
+_BINS = 128                  # k-d leaves per side of the box bound
 
 _EPS = 2.0 ** -53
 _EPS_DD = 2.0 ** -104
@@ -213,17 +219,10 @@ class FeatureMap:
     poly: ExportedPolynomial
     shift: float              # t0/2, with t0 = 2 fl(B/4) ~ B/2
     shifted: tuple[Fraction, ...]  # q_k, exact: q(s) = p(s + t0)
-    absolute: bool = False    # the majorant: rows use |a'| and |c'|
 
     @property
     def rank(self) -> int:
         return feature_count(self.m, self.d)
-
-    def majorant(self) -> FeatureMap:
-        """The map of the absolute-value majorant: |Horner coefficients|,
-        |pair scales|, and |a'|, |c'| in the rows."""
-        return replace(self, horner=np.abs(self.horner),
-                       pair_scale=np.abs(self.pair_scale), absolute=True)
 
 
 @dataclass
@@ -231,13 +230,12 @@ class KdeResult:
     """Output of kde_matvec.
 
     `elapsed_build` is the time spent building the plain pass's feature
-    rows, plus the absolute-value pass when it runs.  It is 0 on the
-    compensated path unless that pass ran.  `elapsed_matvec` is the rest:
-    the bounds (the binned one included), the plain BLAS products or the
+    rows; it is 0 on the compensated path.  `elapsed_matvec` is the rest:
+    the bounds (the box bound included), the plain BLAS products or the
     compensated pass, its rows included.  `float_bound_source` says which
     bound on max_i A_i certified the run (module docstring): "a-priori"
-    (A_hi, from the norm maxima), "binned" (A_bin, from box pairs of
-    norm bins) or "measured" (the absolute-value pass).
+    (A_hi, from the norm maxima) or "binned" (A_box, from pairs of k-d
+    boxes).
     """
     v: np.ndarray
     M: int                         # feature rank R
@@ -246,7 +244,7 @@ class KdeResult:
     degree: int
     float_error_bound: float       # certified per-entry bound / ||w||_1
     used_high_precision: bool
-    float_bound_source: str        # "a-priori", "binned" or "measured"
+    float_bound_source: str        # "a-priori" or "binned"
 
 
 def feature_count(m: int, d: int) -> int:
@@ -506,19 +504,13 @@ def _norm_sq(P: np.ndarray) -> np.ndarray:
     return s
 
 
-def _shifted_norms(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    """a' = fl(fl(||p||^2) - t0/2) per row; |a'| for the majorant."""
-    a = _norm_sq(P) - fm.shift
-    return np.abs(a, out=a) if fm.absolute else a
-
-
 def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     """Xmat rows: (j! / beta!) a'^i x^beta."""
     mono = _monomial_rows(P, fm)
     mono *= fm.weights
     apow = np.empty((P.shape[0], fm.d + 1))
     apow[:, 0] = 1.0
-    apow[:, 1] = _shifted_norms(P, fm)
+    apow[:, 1] = _norm_sq(P) - fm.shift     # a' = fl(fl(||x'||^2) - t0/2)
     for i in range(2, fm.d + 1):
         np.multiply(apow[:, i - 1], apow[:, 1], out=apow[:, i])
     out = np.empty((P.shape[0], fm.rank))
@@ -530,7 +522,7 @@ def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
 def _y_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     """Ymat rows: y^beta h_ij(c')."""
     mono = _monomial_rows(P, fm)
-    c = _shifted_norms(P, fm)[:, None]
+    c = (_norm_sq(P) - fm.shift)[:, None]   # c' = fl(fl(||y'||^2) - t0/2)
     g = np.zeros((P.shape[0], fm.d + 1))
     for k in range(fm.d, -1, -1):
         g *= c
@@ -661,28 +653,30 @@ def _round_down(q: Fraction) -> float:
 
 
 def _norms(P: np.ndarray, fm: FeatureMap
-           ) -> tuple[np.ndarray, Fraction, float]:
+           ) -> tuple[np.ndarray, Fraction, float, Fraction]:
     """One side's squared norms, read by every bound: fl(||p'||^2) per
-    row, max |a'| from the rows' own doubles, and the float maximum of
-    the squared norms over 1 - gamma_m, rounded up, which bounds the exact
-    max ||p'||^2."""
+    row, max |a'| from the rows' own doubles, the float maximum of the
+    squared norms over 1 - gamma_m, rounded up, which bounds the exact
+    max ||p'||^2, and e_a >= |a' - (||p'||^2 - t0/2)| over the rows."""
     s = _norm_sq(P)
     s_max = float(s.max())
-    g = _gamma(P.shape[1], Fraction(_EPS))
+    u = Fraction(_EPS)
+    g = _gamma(P.shape[1], u)
     hi = _round_up(Fraction(s_max) / (1 - g)) if math.isfinite(s_max) \
         else math.inf
     if hi == math.inf:
         raise DomainError("squared norms of the centered coordinates "
                           "overflow double precision")
-    return s, Fraction(float(np.abs(s - fm.shift).max())), hi
+    a_abs = Fraction(float(np.abs(s - fm.shift).max()))
+    return s, a_abs, hi, g * Fraction(hi) + u / (1 - u) * a_abs
 
 
 def _abs_sum_bounds(xs: tuple, ys: tuple, w_lo: Fraction,
                     fm: FeatureMap) -> tuple[Fraction, Fraction]:
     """(A_lo, A_hi) with A_lo <= max_i A_i <= A_hi, in O(d) from the sides'
     _norms and w_lo <= ||w||_1 <= w_lo / (1 - u)^2 (module docstring)."""
-    _, a_abs, a_hi = xs
-    _, c_abs, c_hi = ys
+    _, a_abs, a_hi, _ = xs
+    _, c_abs, c_hi, _ = ys
     q_abs = [abs(c) for c in fm.shifted]
 
     def Q_abs(s: Fraction) -> Fraction:
@@ -699,25 +693,53 @@ def _abs_sum_bounds(xs: tuple, ys: tuple, w_lo: Fraction,
             w_lo / (1 - u) ** 2 * Q_abs(a_abs + 2 * Fraction(r) + c_abs))
 
 
-def _binned_abs_bound(x_sq: np.ndarray, y_sq: np.ndarray, w: np.ndarray,
-                      fm: FeatureMap) -> Fraction | None:
-    """An upper bound on max_i A_i from at most _BINS quantile bins per
-    side of the rows' squared norms fl(||p'||^2), in
-    O(n log n + _BINS^2 d) (module docstring); None when the double
-    evaluation overflows."""
-    n = w.shape[0]
-    bins = min(n, _BINS)
-    starts = np.arange(bins) * n // bins
+def _leaf_boxes(P: np.ndarray, p_sq: np.ndarray, K: int, fm: FeatureMap):
+    """One side's rows in an order whose runs from arange(K) * n // K are
+    K k-d leaves of |p'|, and per leaf the ranges lo, hi of |p'| and
+    2 max(0, largest a').  Level by level, each node of leaves [L0, L1)
+    splits at leaf (L0 + L1) // 2 after its rows are sorted along its
+    widest coordinate; for m = 1 one sort makes every level's split."""
+    A = np.abs(P)
+    n = A.shape[0]
+    edges = np.arange(K + 1) * n // K
+    order = np.argsort(A[:, 0])
+    nodes = np.array([0, K]) if P.shape[1] > 1 else np.arange(K + 1)
+    while len(nodes) <= K:      # nodes holds the leaf bounds of one level
+        starts, rows = edges[nodes[:-1]], A[order]
+        widest = (np.maximum.reduceat(rows, starts)
+                  - np.minimum.reduceat(rows, starts)).argmax(axis=1)
+        node = np.repeat(np.arange(len(starts), dtype=np.min_scalar_type(K)),
+                         np.diff(edges[nodes]))
+        by_key = np.argsort(A[order, widest[node]])
+        order = order[by_key[np.argsort(node[by_key], kind="stable")]]
+        split = nodes[1:] - nodes[:-1] > 1
+        nodes = np.sort(np.concatenate(
+            [nodes, ((nodes[:-1] + nodes[1:]) // 2)[split]]))
+    rows = A[order]
+    top = np.maximum.reduceat(p_sq[order] - fm.shift, edges[:-1])
+    return (order, np.minimum.reduceat(rows, edges[:-1]),
+            np.maximum.reduceat(rows, edges[:-1]), 2 * np.maximum(top, 0.0))
 
-    def per_bin(sq):
-        """sqrt of each bin's largest fl(||p'||^2), and its largest |a'|."""
-        return (np.sqrt(np.maximum.reduceat(sq, starts)),
-                np.maximum.reduceat(np.abs(sq - fm.shift), starts))
-    root_x, a_max = per_bin(np.sort(x_sq))
-    order = np.argsort(y_sq)
-    root_y, c_max = per_bin(y_sq[order])
-    W = np.add.reduceat(np.abs(w[order]), starts)
-    t = (a_max[:, None] + 2 * (root_x[:, None] * root_y)) + c_max
+
+def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
+                      w: np.ndarray, fm: FeatureMap) -> Fraction | None:
+    """An upper bound on max_i A_i from pairs of at most _BINS k-d boxes
+    per side of the centered rows |x'| and |y'|, with the sides' _norms
+    (module docstring); None when the double evaluation overflows."""
+    n = w.shape[0]
+    K = min(n, _BINS)
+    _, lo_x, hi_x, a_pos = _leaf_boxes(X, xs[0], K, fm)
+    order, lo_y, hi_y, c_pos = _leaf_boxes(Y, ys[0], K, fm)
+    W = np.add.reduceat(np.abs(w[order]), np.arange(K) * n // K)
+    u = Fraction(_EPS)
+    head = 2 * Fraction(fm.shift) + xs[3] + ys[3]
+    S = head + Fraction(float(a_pos.max())) + Fraction(float(c_pos.max()))
+    head = _round_up(head + 2 * _gamma(fm.m + 5, u) * S)
+    gap_sq = np.zeros((K, K))
+    for lo_i, hi_i, lo_j, hi_j in zip(lo_x.T, hi_x.T, lo_y.T, hi_y.T):
+        gap = np.maximum(lo_i[:, None] - hi_j, lo_j - hi_i[:, None])
+        gap_sq += np.maximum(gap, 0.0) ** 2
+    t = (a_pos[:, None] + (c_pos + head)) - gap_sq
     q = np.abs(fm.horner[0])     # fl(|q_k|): row s = 0 holds q_k
     Q = np.full_like(t, q[-1])
     for c in q[-2::-1]:
@@ -726,10 +748,8 @@ def _binned_abs_bound(x_sq: np.ndarray, y_sq: np.ndarray, w: np.ndarray,
     total = float((Q @ W).max())
     if not math.isfinite(total):
         return None
-    u = Fraction(_EPS)
     return Fraction(total) / ((1 - _gamma(n, u))
-                              * (1 - _gamma(fm.m, u)) ** fm.d
-                              * (1 - _gamma(7 * fm.d + bins + 1, u)))
+                              * (1 - _gamma(2 * fm.d + K + 1, u)))
 
 
 def _budget(inst: KdeInstance, xs: tuple, ys: tuple
@@ -740,10 +760,7 @@ def _budget(inst: KdeInstance, xs: tuple, ys: tuple
     math.fsum rounds the exact ||w||_1 to nearest, so it is within a
     factor 1 +- u of it."""
     u = Fraction(_EPS)
-    g = _gamma(inst.m, u)
-    moved = 8 * inst.m * inst.B * u * (1 + 4 * u)
-    for _, abs_max, norm_hi in (xs, ys):
-        moved += g * Fraction(norm_hi) + u / (1 - u) * abs_max
+    moved = 8 * inst.m * inst.B * u * (1 + 4 * u) + xs[3] + ys[3]
     w_fl = Fraction(math.fsum(np.abs(inst.w).tolist()))
     return (_round_down(inst.delta / 2 * (1 - u) * w_fl),
             _round_up(moved * (1 + u) * w_fl),
@@ -787,30 +804,17 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
 
     t0 = time.perf_counter()
     A_lo, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
-    # each computed at most once per call, and only when a rung needs it
-    A_binned = None
-    A_measured = None   # fl(max_i A_i) / (1 - gamma_N)
-    build_s = 0.0
+    A_box = None    # computed at most once per call, when a rung needs it
     for use_high, g in {None: rungs, "plain": rungs[:1],
                         "high": rungs[1:]}[force]:
         bound = _round_up(g * A_hi + slack)
         source = "a-priori"
         if bound > budget and _round_up(g * A_lo + slack) <= budget:
-            if A_binned is None:
-                binned = _binned_abs_bound(xs[0], ys[0], inst.w, fm)
-                A_binned = A_hi if binned is None else binned
-            bound = _round_up(g * A_binned + slack)
+            if A_box is None:
+                box = _binned_abs_bound(inst.X, inst.Y, xs, ys, inst.w, fm)
+                A_box = A_hi if box is None else box
+            bound = _round_up(g * A_box + slack)
             source = "binned"
-            if bound > budget:
-                if A_measured is None:
-                    t = time.perf_counter()
-                    a = _abs_pass(inst, fm)
-                    # an overflowed pass measures nothing past A_hi
-                    A_measured = Fraction(a) / (1 - _gamma(N, u)) \
-                        if math.isfinite(a) else A_hi
-                    build_s += time.perf_counter() - t
-                bound = _round_up(g * A_measured + slack)
-                source = "measured"
         if bound <= budget:
             break
     else:
@@ -820,11 +824,11 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
             + ("; drop force='plain'" if force == "plain" else ""))
 
     del xs, ys    # the passes need no squared norms; free them first
+    build_s = 0.0
     if use_high:
         v = _matvec_dd(inst, fm)
     else:
-        v, feat_s = _matvec_plain(inst, fm)
-        build_s += feat_s
+        v, build_s = _matvec_plain(inst, fm)
 
     rel_bound = _round_up(Fraction(bound) / w_lo) if w_lo > 0 else 0.0
     return KdeResult(v=v, M=fm.rank, elapsed_build=build_s,
@@ -832,14 +836,6 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
                      degree=fm.d, float_error_bound=rel_bound,
                      used_high_precision=use_high,
                      float_bound_source=source)
-
-
-def _abs_pass(inst: KdeInstance, fm: FeatureMap) -> float:
-    """max_i fl(A_i) of a centered instance: the plain matvec of the
-    majorant, on |x'|, |y'|, |w| with the map's majorant."""
-    majorant = replace(inst, X=np.abs(inst.X), Y=np.abs(inst.Y),
-                       w=np.abs(inst.w))
-    return float(_matvec_plain(majorant, fm.majorant())[0].max())
 
 
 def _matvec_plain(inst: KdeInstance, fm: FeatureMap

@@ -40,7 +40,6 @@ from expcheb.kde import (
 )
 from expcheb.kde import (
     _EPS,
-    _abs_pass,
     _abs_sum_bounds,
     _binned_abs_bound,
     _dd_sum_tree,
@@ -520,25 +519,13 @@ def _exact_abs_sum_max(inst, fm):
 
 
 def test_abs_sum_identity_matches_feature_map():
-    # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is
-    # Q_abs(|a'| + 2<|x|,|y|> + |c'|): the majorant's float rows reach it
-    # within gamma_N, each of their terms being nonnegative
+    # the multinomial identity behind A_i, exactly: on p's absolute
+    # coefficients, flipping y's sign turns each (-2)^j into 2^j, so the
+    # map sums to P_abs(||x||^2 + 2<x, y> + ||y||^2) for x, y >= 0
     spec = problem(Target.EXP_NEG, 4, "1e-3")
     fm = expand_kernel_poly(export_polynomial(spec, find_degree(spec)), 3)
-    q_abs = [abs(c) for c in fm.shifted]
-    x = [Fraction(-3, 8), Fraction(5, 4), Fraction(1, 16)]
-    y = [Fraction(7, 8), Fraction(-1, 2), Fraction(-9, 4)]
-    ax, ay = [abs(v) for v in x], [abs(v) for v in y]
-    t = (abs(_shifted(ax, fm)) + 2 * sum(p * q for p, q in zip(ax, ay))
-         + abs(_shifted(ay, fm)))
-    want = sum(c * t ** k for k, c in enumerate(q_abs))
-    # B = 6 covers the pair's squared distance, 5.6
-    inst = make_instance([[float(v) for v in ax]], [[float(v) for v in ay]],
-                         [1.0], "1e-3", B=6)
-    Xmat, Ymat = build_feature_matrices(inst, fm.majorant())
-    got = Fraction(float(Xmat[0] @ Ymat[0]))
-    assert abs(got - want) <= _gamma(gamma_ops(1, fm), Fraction(_EPS)) * want
-    # and exactly: flipping y's sign turns each (-2)^j into 2^j
+    ax = [Fraction(3, 8), Fraction(5, 4), Fraction(1, 16)]
+    ay = [Fraction(7, 8), Fraction(1, 2), Fraction(9, 4)]
     p_abs = [abs(c) for c in fm.poly.monomial_form]
     fm_exact = expand_kernel_poly(_synthetic_poly(p_abs), 3)
     t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
@@ -630,9 +617,8 @@ def _lowdim_instance(n=4096, seed=1):
 
 def _escalate_instance(n=1024, seed=1, delta="1e-12"):
     # the kde-escalate shape: m = 1, side 4 (B ~ 16), delta 1e-12, where
-    # the binned bound certifies plain doubles; at delta = 2e-13 the
-    # binned and measured plain bounds miss and the compensated rung
-    # certifies
+    # the box bound certifies plain doubles; at delta = 2e-13 it misses
+    # plain doubles and certifies the compensated rung
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 4.0, (n, 1))
     Y = rng.uniform(0.0, 4.0, (n, 1))
@@ -650,17 +636,6 @@ def _ends_instance(n=1024, seed=1):
     return make_instance(X, Y, rng.standard_normal(n), "2e-13", B="4.25")
 
 
-def test_lower_bound_below_measured_abs_sum():
-    for inst in (_ends_instance(), _escalate_instance()):
-        _, fm = kernel_map(inst.m, inst.B, inst.delta)
-        centered, xs, ys = _sides(inst, fm)
-        _, _, w_lo = kde_mod._budget(centered, xs, ys)
-        A_lo, _ = _abs_sum_bounds(xs, ys, w_lo, fm)
-        abs_scale = 1.0 / (1.0 - _gamma(gamma_ops(inst.n, fm), _EPS))
-        measured = _abs_pass(centered, fm) * abs_scale
-        assert A_lo <= Fraction(measured)
-
-
 def _straddle_instance():
     # eight points per side of one squared norm, 25/64, and two of 9/4; the
     # pooled midrange is 0, so centering moves nothing, and with a few
@@ -675,10 +650,23 @@ def _straddle_instance():
     return make_instance(X, Y, w, "1e-3", B=5)
 
 
+def _triangle_case():
+    # an equilateral triangle of side 3 with B = 9 its squared diameter,
+    # below the estimate 15.75: the pooled midrange sits off the centroid,
+    # so rows near the base corners have ||p'||^2 > t0/2, a positive a'
+    rng = np.random.default_rng(41)
+    corners = np.array([[0.0, 0.0], [3.0, 0.0], [1.5, 1.5 * math.sqrt(3)]])
+    X, Y = (rng.dirichlet(np.ones(3), 20) @ corners for _ in range(2))
+    return (make_instance(X, Y, rng.normal(size=20), "1e-3", B=9),
+            kernel_map(2, 9, "1e-3")[1])
+
+
 def _binned_cases():
     # far from the origin, cancelling weights, n = 1 with Cauchy-Schwarz
     # tight, and m = 8 (_bound_cases); the kde-escalate and _ends shapes
-    # at small n; an m = 3 box; equal norms across bin edges
+    # at small n; an m = 3 box; equal norms across leaf edges; the
+    # triangle, whose positive a' the folded argument must cover; a
+    # constant kernel
     yield from _bound_cases()
     for inst in (_escalate_instance(n=24), _ends_instance(n=24)):
         yield inst, kernel_map(inst.m, inst.B, inst.delta)[1]
@@ -687,117 +675,110 @@ def _binned_cases():
     yield (make_instance(X, Y, rng.normal(size=24), "1e-6", B=9),
            kernel_map(3, 9, "1e-6")[1])
     yield _straddle_instance(), kernel_map(2, 5, "1e-3")[1]
+    yield _triangle_case()
+    # p = 1, so no slack in t_IJ lifts the bound, and weights whose float
+    # sum rounds below max_i A_i = 1 + 2^-54: the gamma divisor must
+    yield (make_instance([[0.0], [0.5]], [[0.25], [0.0]],
+                         [1.0, 2.0 ** -54], "1e-3", B=1),
+           expand_kernel_poly(_synthetic_poly([1]), 1))
 
 
 def test_binned_bound_encloses_exact_abs_sum(monkeypatch):
-    # every case has n <= 24 below _BINS, so each point is its own bin;
-    # 5 and 2 bins put several points, and equal norms, in one bin.  One
-    # point per side is A_hi's own box pair, evaluated in doubles, and may
-    # pass A_hi by its rounding allowance
-    bin_counts = (kde_mod._BINS, 5, 2)
+    # every case has n <= 24 below _BINS, so each point is its own leaf;
+    # 5 and 2 leaves put several points, and equal norms, in one leaf
     for inst, fm in _binned_cases():
         exact = _exact_abs_sum_max(inst, fm)
         centered, xs, ys = _sides(inst, fm)
-        _, _, w_lo = kde_mod._budget(centered, xs, ys)
-        _, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
-        allowance = Fraction(1, 2 ** 40) if inst.n == 1 else 0
-        for bins in bin_counts:
+        for bins in (kde_mod._BINS, 5, 2):
             monkeypatch.setattr(kde_mod, "_BINS", bins)
-            binned = _binned_abs_bound(xs[0], ys[0], centered.w, fm)
-            assert exact <= binned <= A_hi * (1 + allowance)
+            assert exact <= _binned_abs_bound(centered.X, centered.Y, xs, ys,
+                                              centered.w, fm)
+    inst, fm = _triangle_case()
+    assert (_sides(inst, fm)[1][0] > fm.shift).any()
 
 
 def _spy_rows(monkeypatch):
-    # each call is recorded with whether its feature map is the majorant:
-    # the real map has the negative pair scale (-2)^1 at j = 1, i = 0
+    # the names of the row builders, one entry per call
     calls = []
     for name in ("_x_rows", "_y_rows", "build_feature_matrices"):
         real = getattr(kde_mod, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
-            calls.append((_name, bool((args[1].pair_scale >= 0).all())))
+            calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(kde_mod, name, spy)
     return calls
 
 
-def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
-    calls = _spy_rows(monkeypatch)
-    binned = []
+def _spy_box(monkeypatch):
+    # the arguments of each box bound computed
+    calls = []
     real = kde_mod._binned_abs_bound
     monkeypatch.setattr(kde_mod, "_binned_abs_bound",
-                        lambda *args: binned.append(args) or real(*args))
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
+    # A_hi decides the kde-lowdim shape; the box bound is never computed
+    calls, boxes = _spy_rows(monkeypatch), _spy_box(monkeypatch)
     res = solve(_lowdim_instance())
     assert not res.used_high_precision
     assert res.float_bound_source == "a-priori"
-    assert calls and not any(majorant for _, majorant in calls)
-    assert not binned
+    assert calls and not boxes
 
 
-def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
+def test_escalate_shape_certifies_from_the_binned_bound():
     # A_hi misses the plain budget thousands of times over and A_lo does
-    # not rule plain doubles out; the binned bound certifies them with no
-    # majorant row, and v is bitwise the measured path's
-    calls = _spy_rows(monkeypatch)
+    # not rule plain doubles out; the box bound certifies them
     res = solve(_escalate_instance())
     assert res.float_bound_source == "binned"
     assert not res.used_high_precision
     assert res.float_error_bound <= 1e-12 / 2
-    assert calls and not any(majorant for _, majorant in calls)
-    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
-    measured = solve(_escalate_instance())
-    assert measured.float_bound_source == "measured"
-    assert not measured.used_high_precision
-    assert measured.v.tobytes() == res.v.tobytes()
-    assert measured.float_error_bound <= res.float_error_bound
 
 
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
     # both rungs build the same double rows: when the bounds alone choose
     # the compensated rung, its one pass builds each chunk once and no
-    # plain or majorant row is built
-    inst = _ends_instance()
-    _, fm = kernel_map(inst.m, inst.B, inst.delta)
-    calls = _spy_rows(monkeypatch)
-    res = kde_matvec(inst, fm)
-    assert res.used_high_precision
-    assert res.float_bound_source == "a-priori"
-    assert not any(majorant for _, majorant in calls)
-    chunks = kde_mod._chunks(inst.n, fm.rank, kde_mod._DD_CHUNK_BYTES)
-    assert [name for name, _ in calls].count("build_feature_matrices") \
-        == 2 * len(chunks)
-    assert res.elapsed_build == 0
-    assert res.float_error_bound <= 2e-13 / 2
+    # plain row is built.  A_hi decides _ends_instance; at delta = 2e-13
+    # the kde-escalate shape is decided by one box bound, which misses
+    # plain doubles and meets the compensated budget
+    for inst, source in ((_ends_instance(), "a-priori"),
+                         (_escalate_instance(delta="2e-13"), "binned")):
+        _, fm = kernel_map(inst.m, inst.B, inst.delta)
+        calls, boxes = _spy_rows(monkeypatch), _spy_box(monkeypatch)
+        res = kde_matvec(inst, fm)
+        assert res.used_high_precision
+        assert res.float_bound_source == source
+        assert len(boxes) == (source == "binned")
+        chunks = kde_mod._chunks(inst.n, fm.rank, kde_mod._DD_CHUNK_BYTES)
+        assert calls.count("build_feature_matrices") == 2 * len(chunks)
+        assert res.elapsed_build == 0
+        assert res.float_error_bound <= 2e-13 / 2
 
 
-def test_a_priori_paths_match_the_measured_path(monkeypatch):
-    # with a priori and binned bounds that decide nothing, the
-    # absolute-value pass picks the precision; v and the precision must not
-    # depend on which bound did
+def test_a_priori_paths_match_the_box_path(monkeypatch):
+    # with a priori bounds that decide nothing, the box bound picks the
+    # precision; v and the precision must not depend on which bound did
     cases = [(_lowdim_instance(), False), (_ends_instance(), True)]
     fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
     fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
     monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
                         lambda *args: (Fraction(0), Fraction(10 ** 400)))
-    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
     for (inst, high), fm, a in zip(cases, fms, fast):
         b = kde_matvec(inst, fm)
         assert a.float_bound_source == "a-priori"
-        assert b.float_bound_source == "measured"
+        assert b.float_bound_source == "binned"
         assert a.used_high_precision is b.used_high_precision is high
         assert a.v.tobytes() == b.v.tobytes()
         assert b.float_error_bound <= a.float_error_bound
 
 
-def test_measured_bound_is_rounded_up(monkeypatch):
-    # on the measured path the reported bound is at least the exact
-    # g / (1 - gamma_N) fl(max_i A_i) + shift_slack over ||w||_1, with g
-    # the rung's coefficient;
-    # a bound summed in round-to-nearest doubles falls below it on 28 of
-    # these 80 runs
+def test_box_bound_is_rounded_up(monkeypatch):
+    # on the box path the reported bound is at least the exact
+    # (g A_box + shift_slack) / w_lo, with g the rung's coefficient
     monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
                         lambda *args: (Fraction(0), Fraction(10 ** 400)))
-    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 40)), int(rng.integers(1, 3))
@@ -806,7 +787,8 @@ def test_measured_bound_is_rounded_up(monkeypatch):
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        abs_max = Fraction(_abs_pass(centered, fm))
+        A_box = _binned_abs_bound(centered.X, centered.Y, xs, ys, centered.w,
+                                  fm)
         _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
@@ -817,9 +799,31 @@ def test_measured_bound_is_rounded_up(monkeypatch):
                          ("high", _gamma(2 * fm.d + 9, u) + _gamma(
                              2 * sums, Fraction(kde_mod._EPS_DD)))):
             res = kde_matvec(inst, fm, force=force)
-            assert res.float_bound_source == "measured"
-            exact = g * abs_max / (1 - _gamma(N, u)) + Fraction(shift_slack)
+            assert res.float_bound_source == "binned"
+            exact = g * A_box + Fraction(shift_slack)
             assert Fraction(res.float_error_bound) >= exact / w_lo
+
+
+def _wide_instance(n, seed):
+    # m = 2, delta = 1e-3 in a box of squared diameter 249: the norm-binned
+    # bound missed both rungs here and only a measured pass certified
+    rng = np.random.default_rng(seed)
+    side = math.sqrt(124.5)
+    X = rng.uniform(0.0, side, (n, 2))
+    Y = rng.uniform(0.0, side, (n, 2))
+    return make_instance(X, Y, rng.standard_normal(n), "1e-3")
+
+
+def test_wide_box_certifies_the_compensated_rung():
+    # at n = 76 each row is its own leaf; at n = 256 each leaf holds two
+    for n, seed in ((76, 3), (256, 1)):
+        inst = _wide_instance(n, seed)
+        res = solve(inst)
+        assert res.float_bound_source == "binned"
+        assert res.used_high_precision
+        assert res.float_error_bound <= 1e-3 / 2
+        gap = float(np.abs(res.v - kde_bruteforce(inst)).max())
+        assert gap <= 1e-3 * float(np.abs(inst.w).sum())
 
 
 def test_make_instance_refuses_B_below_the_cross_range():
@@ -963,12 +967,7 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
     with mock.patch.object(kde_mod, "_abs_sum_bounds",
                            lambda *args: undecided):
         results += [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
-        with mock.patch.object(kde_mod, "_binned_abs_bound",
-                               lambda *args: None):
-            results += [kde_matvec(inst, fm),
-                        kde_matvec(inst, fm, force="high")]
-    assert {r.float_bound_source for r in results[2:4]} == {"binned"}
-    assert {r.float_bound_source for r in results[4:]} == {"measured"}
+    assert {r.float_bound_source for r in results[2:]} == {"binned"}
     for res in results:
         gap = max(abs(Fraction(float(v)) - e) for v, e in zip(res.v, exact))
         assert gap <= Fraction(res.float_error_bound) * w1
