@@ -26,7 +26,7 @@ g_s(c') = sum_k c_{s,0,k} c'^k, which is exact algebra
 (c_ijk = (-2)^j C(i+j, i) c_{i+j,0,k}), so only d + 1 Horner
 polynomials run per row.  The recentring is Higham's cure for an
 ill-conditioned sum (Accuracy and Stability of Numerical Algorithms,
-5.1): p's coefficient mass P_abs(t) = sum |p_k| t^k grows like e^t on
+5.1): p's absolute sum P_abs(t) = sum |p_k| t^k grows like e^t on
 [0, B], while q's coefficients are about e^-t0 (-1)^k / k!.  A nonzero
 table entry that is not a normal double raises SoundnessError.
 
@@ -140,11 +140,29 @@ J K_y - 1, all on nonnegative operands, so
 
 in O(n log n log _BINS + _BINS^2 (m + d)) in all.
 
+With it comes A_row <= max_i A_i, from the first row x' of the leaf
+where the box sum peaks.  Its arguments t_n against every row of Y take
+m + 2 roundings, on nonnegative operands, so t_n (1 - (m + 2) u) is at
+most the exact argument; lowering every t_n by gamma_{m+3} max t_n,
+rounded up, covers that and the rounding of the subtraction, and the
+lowered t_n are clamped at 0.  Horner on the doubles of |q_k| (each at
+most |q_k| (1 + u)) takes 2d roundings, the product by |w_n| 1 and the
+sum over n n - 1, so
+
+    A_row = fl(sum_n |w_n| Q_abs(t_n lowered)) (1 - gamma_{n + 2d + 1}),
+
+in O(n (m + d)).  The measured pass is the plain matvec of the majorant
+(|x'|, |y'|, |a'|, |c'|, |w|, |Horner coefficients| and |pair scales|),
+nonnegative data, so its float max_i A_i over 1 - gamma_N bounds
+max_i A_i.
+
 The precision is one ladder over the rungs `force` allows, plain doubles
 and then the compensated rung.  A rung bounds the error by its
-coefficient times A plus shift_slack, rounded up: A = A_hi if that meets
-the budget, else, unless A = A_lo misses it too (every upper bound is at
-least A_lo), A = A_box, computed at most once per call.  SoundnessError
+coefficient times A plus shift_slack, rounded up.  It takes A = A_hi
+when that meets the budget, and fails with no further work when A = A_lo
+misses it, because every upper bound is at least A_lo.  Otherwise it
+tries A = A_box, and then, unless A = A_row misses the budget too, the
+measured pass; each is computed at most once per call.  SoundnessError
 ends a ladder whose last rung fails.
 """
 
@@ -219,10 +237,17 @@ class FeatureMap:
     poly: ExportedPolynomial
     shift: float              # t0/2, with t0 = 2 fl(B/4) ~ B/2
     shifted: tuple[Fraction, ...]  # q_k, exact: q(s) = p(s + t0)
+    absolute: bool = False    # the majorant: rows use |a'| and |c'|
 
     @property
     def rank(self) -> int:
         return feature_count(self.m, self.d)
+
+    def majorant(self) -> FeatureMap:
+        """The map of the absolute-value majorant: |Horner coefficients|,
+        |pair scales|, and |a'|, |c'| in the rows."""
+        return replace(self, horner=np.abs(self.horner),
+                       pair_scale=np.abs(self.pair_scale), absolute=True)
 
 
 @dataclass
@@ -230,12 +255,13 @@ class KdeResult:
     """Output of kde_matvec.
 
     `elapsed_build` is the time spent building the plain pass's feature
-    rows; it is 0 on the compensated path.  `elapsed_matvec` is the rest:
+    rows, plus the absolute-value pass when it runs.  It is 0 on the
+    compensated path unless that pass ran.  `elapsed_matvec` is the rest:
     the bounds (the box bound included), the plain BLAS products or the
     compensated pass, its rows included.  `float_bound_source` says which
     bound on max_i A_i certified the run (module docstring): "a-priori"
-    (A_hi, from the norm maxima) or "binned" (A_box, from pairs of k-d
-    boxes).
+    (A_hi, from the norm maxima), "binned" (A_box, from pairs of k-d
+    boxes) or "measured" (the absolute-value pass).
     """
     v: np.ndarray
     M: int                         # feature rank R
@@ -244,7 +270,7 @@ class KdeResult:
     degree: int
     float_error_bound: float       # certified per-entry bound / ||w||_1
     used_high_precision: bool
-    float_bound_source: str        # "a-priori" or "binned"
+    float_bound_source: str        # "a-priori", "binned" or "measured"
 
 
 def feature_count(m: int, d: int) -> int:
@@ -504,13 +530,19 @@ def _norm_sq(P: np.ndarray) -> np.ndarray:
     return s
 
 
+def _shifted_norms(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
+    """a' = fl(fl(||p||^2) - t0/2) per row; |a'| for the majorant."""
+    a = _norm_sq(P) - fm.shift
+    return np.abs(a, out=a) if fm.absolute else a
+
+
 def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     """Xmat rows: (j! / beta!) a'^i x^beta."""
     mono = _monomial_rows(P, fm)
     mono *= fm.weights
     apow = np.empty((P.shape[0], fm.d + 1))
     apow[:, 0] = 1.0
-    apow[:, 1] = _norm_sq(P) - fm.shift     # a' = fl(fl(||x'||^2) - t0/2)
+    apow[:, 1] = _shifted_norms(P, fm)
     for i in range(2, fm.d + 1):
         np.multiply(apow[:, i - 1], apow[:, 1], out=apow[:, i])
     out = np.empty((P.shape[0], fm.rank))
@@ -522,7 +554,7 @@ def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
 def _y_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     """Ymat rows: y^beta h_ij(c')."""
     mono = _monomial_rows(P, fm)
-    c = (_norm_sq(P) - fm.shift)[:, None]   # c' = fl(fl(||y'||^2) - t0/2)
+    c = _shifted_norms(P, fm)[:, None]
     g = np.zeros((P.shape[0], fm.d + 1))
     for k in range(fm.d, -1, -1):
         g *= c
@@ -722,13 +754,16 @@ def _leaf_boxes(P: np.ndarray, p_sq: np.ndarray, K: int, fm: FeatureMap):
 
 
 def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
-                      w: np.ndarray, fm: FeatureMap) -> Fraction | None:
-    """An upper bound on max_i A_i from pairs of at most _BINS k-d boxes
-    per side of the centered rows |x'| and |y'|, with the sides' _norms
-    (module docstring); None when the double evaluation overflows."""
+                      w: np.ndarray, fm: FeatureMap
+                      ) -> tuple[Fraction, Fraction] | None:
+    """(A_row, A_box) with A_row <= max_i A_i <= A_box: A_box from pairs
+    of at most _BINS k-d boxes per side of the centered rows |x'| and
+    |y'|, A_row from the first row of the leaf where the box sum peaks,
+    with the sides' _norms (module docstring); None when the double
+    evaluation overflows."""
     n = w.shape[0]
     K = min(n, _BINS)
-    _, lo_x, hi_x, a_pos = _leaf_boxes(X, xs[0], K, fm)
+    order_x, lo_x, hi_x, a_pos = _leaf_boxes(X, xs[0], K, fm)
     order, lo_y, hi_y, c_pos = _leaf_boxes(Y, ys[0], K, fm)
     W = np.add.reduceat(np.abs(w[order]), np.arange(K) * n // K)
     u = Fraction(_EPS)
@@ -739,17 +774,43 @@ def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
     for lo_i, hi_i, lo_j, hi_j in zip(lo_x.T, hi_x.T, lo_y.T, hi_y.T):
         gap = np.maximum(lo_i[:, None] - hi_j, lo_j - hi_i[:, None])
         gap_sq += np.maximum(gap, 0.0) ** 2
-    t = (a_pos[:, None] + (c_pos + head)) - gap_sq
-    q = np.abs(fm.horner[0])     # fl(|q_k|): row s = 0 holds q_k
+    per_leaf = _q_abs_fl((a_pos[:, None] + (c_pos + head)) - gap_sq, fm) @ W
+    top = int(per_leaf.argmax())
+    total = float(per_leaf[top])
+    if not math.isfinite(total):
+        return None
+    i = order_x[top * n // K]
+    return (_row_abs_lower(X[i], xs[0][i] - fm.shift, Y, ys[0] - fm.shift,
+                           w, fm),
+            Fraction(total) / ((1 - _gamma(n, u))
+                               * (1 - _gamma(2 * fm.d + K + 1, u))))
+
+
+def _q_abs_fl(t: np.ndarray, fm: FeatureMap) -> np.ndarray:
+    """Q_abs(t) elementwise, by Horner in doubles on fl(|q_k|)."""
+    q = np.abs(fm.horner[0])     # row s = 0 holds q_k
     Q = np.full_like(t, q[-1])
     for c in q[-2::-1]:
         Q *= t
         Q += c
-    total = float((Q @ W).max())
-    if not math.isfinite(total):
-        return None
-    return Fraction(total) / ((1 - _gamma(n, u))
-                              * (1 - _gamma(2 * fm.d + K + 1, u)))
+    return Q
+
+
+def _row_abs_lower(x: np.ndarray, a: float, Y: np.ndarray, c: np.ndarray,
+                   w: np.ndarray, fm: FeatureMap) -> Fraction:
+    """A lower bound on A_i for one centered row x with a' = a, from the
+    centered rows Y with c' = c (module docstring); 0 when the doubles
+    overflow."""
+    t = (np.abs(c) + abs(a)) + 2 * (np.abs(Y) @ np.abs(x))
+    t_max = float(t.max())
+    if not math.isfinite(t_max):
+        return Fraction(0)
+    u = Fraction(_EPS)
+    t = np.maximum(t - _round_up(_gamma(fm.m + 3, u) * Fraction(t_max)), 0.0)
+    row = float(_q_abs_fl(t, fm) @ np.abs(w))
+    if not math.isfinite(row):
+        return Fraction(0)
+    return Fraction(row) * (1 - _gamma(w.shape[0] + 2 * fm.d + 1, u))
 
 
 def _budget(inst: KdeInstance, xs: tuple, ys: tuple
@@ -804,7 +865,10 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
 
     t0 = time.perf_counter()
     A_lo, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
-    A_box = None    # computed at most once per call, when a rung needs it
+    # each computed at most once per call, and only when a rung needs it
+    A_box = None        # (lower, upper) from the box pairs
+    A_measured = None   # fl(max_i A_i) / (1 - gamma_N)
+    build_s = 0.0
     for use_high, g in {None: rungs, "plain": rungs[:1],
                         "high": rungs[1:]}[force]:
         bound = _round_up(g * A_hi + slack)
@@ -812,9 +876,20 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
         if bound > budget and _round_up(g * A_lo + slack) <= budget:
             if A_box is None:
                 box = _binned_abs_bound(inst.X, inst.Y, xs, ys, inst.w, fm)
-                A_box = A_hi if box is None else box
-            bound = _round_up(g * A_box + slack)
+                A_box = (A_lo, A_hi) if box is None else box
+            bound = _round_up(g * A_box[1] + slack)
             source = "binned"
+            if bound > budget and \
+                    _round_up(g * A_box[0] + slack) <= budget:
+                if A_measured is None:
+                    t = time.perf_counter()
+                    a = _abs_pass(inst, fm)
+                    # an overflowed pass measures nothing past A_hi
+                    A_measured = Fraction(a) / (1 - _gamma(N, u)) \
+                        if math.isfinite(a) else A_hi
+                    build_s += time.perf_counter() - t
+                bound = _round_up(g * A_measured + slack)
+                source = "measured"
         if bound <= budget:
             break
     else:
@@ -824,11 +899,11 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
             + ("; drop force='plain'" if force == "plain" else ""))
 
     del xs, ys    # the passes need no squared norms; free them first
-    build_s = 0.0
     if use_high:
         v = _matvec_dd(inst, fm)
     else:
-        v, build_s = _matvec_plain(inst, fm)
+        v, feat_s = _matvec_plain(inst, fm)
+        build_s += feat_s
 
     rel_bound = _round_up(Fraction(bound) / w_lo) if w_lo > 0 else 0.0
     return KdeResult(v=v, M=fm.rank, elapsed_build=build_s,
@@ -836,6 +911,14 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
                      degree=fm.d, float_error_bound=rel_bound,
                      used_high_precision=use_high,
                      float_bound_source=source)
+
+
+def _abs_pass(inst: KdeInstance, fm: FeatureMap) -> float:
+    """max_i fl(A_i) of a centered instance: the plain matvec of the
+    majorant, on |x'|, |y'|, |w| with the map's majorant."""
+    majorant = replace(inst, X=np.abs(inst.X), Y=np.abs(inst.Y),
+                       w=np.abs(inst.w))
+    return float(_matvec_plain(majorant, fm.majorant())[0].max())
 
 
 def _matvec_plain(inst: KdeInstance, fm: FeatureMap

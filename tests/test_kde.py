@@ -40,6 +40,7 @@ from expcheb.kde import (
 )
 from expcheb.kde import (
     _EPS,
+    _abs_pass,
     _abs_sum_bounds,
     _binned_abs_bound,
     _dd_sum_tree,
@@ -519,13 +520,25 @@ def _exact_abs_sum_max(inst, fm):
 
 
 def test_abs_sum_identity_matches_feature_map():
-    # the multinomial identity behind A_i, exactly: on p's absolute
-    # coefficients, flipping y's sign turns each (-2)^j into 2^j, so the
-    # map sums to P_abs(||x||^2 + 2<x, y> + ||y||^2) for x, y >= 0
+    # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is
+    # Q_abs(|a'| + 2<|x|,|y|> + |c'|): the majorant's float rows reach it
+    # within gamma_N, each of their terms being nonnegative
     spec = problem(Target.EXP_NEG, 4, "1e-3")
     fm = expand_kernel_poly(export_polynomial(spec, find_degree(spec)), 3)
-    ax = [Fraction(3, 8), Fraction(5, 4), Fraction(1, 16)]
-    ay = [Fraction(7, 8), Fraction(1, 2), Fraction(9, 4)]
+    q_abs = [abs(c) for c in fm.shifted]
+    x = [Fraction(-3, 8), Fraction(5, 4), Fraction(1, 16)]
+    y = [Fraction(7, 8), Fraction(-1, 2), Fraction(-9, 4)]
+    ax, ay = [abs(v) for v in x], [abs(v) for v in y]
+    t = (abs(_shifted(ax, fm)) + 2 * sum(p * q for p, q in zip(ax, ay))
+         + abs(_shifted(ay, fm)))
+    want = sum(c * t ** k for k, c in enumerate(q_abs))
+    # B = 6 covers the pair's squared distance, 5.6
+    inst = make_instance([[float(v) for v in ax]], [[float(v) for v in ay]],
+                         [1.0], "1e-3", B=6)
+    Xmat, Ymat = build_feature_matrices(inst, fm.majorant())
+    got = Fraction(float(Xmat[0] @ Ymat[0]))
+    assert abs(got - want) <= _gamma(gamma_ops(1, fm), Fraction(_EPS)) * want
+    # and exactly: flipping y's sign turns each (-2)^j into 2^j
     p_abs = [abs(c) for c in fm.poly.monomial_form]
     fm_exact = expand_kernel_poly(_synthetic_poly(p_abs), 3)
     t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
@@ -636,6 +649,17 @@ def _ends_instance(n=1024, seed=1):
     return make_instance(X, Y, rng.standard_normal(n), "2e-13", B="4.25")
 
 
+def test_lower_bound_below_measured_abs_sum():
+    for inst in (_ends_instance(), _escalate_instance()):
+        _, fm = kernel_map(inst.m, inst.B, inst.delta)
+        centered, xs, ys = _sides(inst, fm)
+        _, _, w_lo = kde_mod._budget(centered, xs, ys)
+        A_lo, _ = _abs_sum_bounds(xs, ys, w_lo, fm)
+        abs_scale = 1.0 / (1.0 - _gamma(gamma_ops(inst.n, fm), _EPS))
+        measured = _abs_pass(centered, fm) * abs_scale
+        assert A_lo <= Fraction(measured)
+
+
 def _straddle_instance():
     # eight points per side of one squared norm, 25/64, and two of 9/4; the
     # pooled midrange is 0, so centering moves nothing, and with a few
@@ -676,11 +700,14 @@ def _binned_cases():
            kernel_map(3, 9, "1e-6")[1])
     yield _straddle_instance(), kernel_map(2, 5, "1e-3")[1]
     yield _triangle_case()
-    # p = 1, so no slack in t_IJ lifts the bound, and weights whose float
-    # sum rounds below max_i A_i = 1 + 2^-54: the gamma divisor must
-    yield (make_instance([[0.0], [0.5]], [[0.25], [0.0]],
-                         [1.0, 2.0 ** -54], "1e-3", B=1),
-           expand_kernel_poly(_synthetic_poly([1]), 1))
+    # p = 1, so no slack in the arguments moves either bound, and weights
+    # whose float sum rounds below max_i A_i = 1 + 2^-54 (the gamma
+    # divisor of A_box must cover it) or above 1 + 2^-53 + 2^-60 (the
+    # gamma factor of A_row must)
+    for w in (2.0 ** -54, 2.0 ** -53 + 2.0 ** -60):
+        yield (make_instance([[0.0], [0.5]], [[0.25], [0.0]], [1.0, w],
+                             "1e-3", B=1),
+               expand_kernel_poly(_synthetic_poly([1]), 1))
 
 
 def test_binned_bound_encloses_exact_abs_sum(monkeypatch):
@@ -691,20 +718,22 @@ def test_binned_bound_encloses_exact_abs_sum(monkeypatch):
         centered, xs, ys = _sides(inst, fm)
         for bins in (kde_mod._BINS, 5, 2):
             monkeypatch.setattr(kde_mod, "_BINS", bins)
-            assert exact <= _binned_abs_bound(centered.X, centered.Y, xs, ys,
-                                              centered.w, fm)
+            A_row, A_box = _binned_abs_bound(centered.X, centered.Y, xs, ys,
+                                             centered.w, fm)
+            assert A_row <= exact <= A_box
     inst, fm = _triangle_case()
     assert (_sides(inst, fm)[1][0] > fm.shift).any()
 
 
 def _spy_rows(monkeypatch):
-    # the names of the row builders, one entry per call
+    # each call is recorded with whether its feature map is the majorant:
+    # the real map has the negative pair scale (-2)^1 at j = 1, i = 0
     calls = []
     for name in ("_x_rows", "_y_rows", "build_feature_matrices"):
         real = getattr(kde_mod, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
+            calls.append((_name, bool((args[1].pair_scale >= 0).all())))
             return _real(*args, **kwargs)
         monkeypatch.setattr(kde_mod, name, spy)
     return calls
@@ -725,24 +754,35 @@ def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
     res = solve(_lowdim_instance())
     assert not res.used_high_precision
     assert res.float_bound_source == "a-priori"
-    assert calls and not boxes
+    assert calls and not any(majorant for _, majorant in calls)
+    assert not boxes
 
 
-def test_escalate_shape_certifies_from_the_binned_bound():
+def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
     # A_hi misses the plain budget thousands of times over and A_lo does
-    # not rule plain doubles out; the box bound certifies them
+    # not rule plain doubles out; the binned bound certifies them with no
+    # majorant row, and v is bitwise the measured path's
+    calls = _spy_rows(monkeypatch)
     res = solve(_escalate_instance())
     assert res.float_bound_source == "binned"
     assert not res.used_high_precision
     assert res.float_error_bound <= 1e-12 / 2
+    assert calls and not any(majorant for _, majorant in calls)
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
+    measured = solve(_escalate_instance())
+    assert measured.float_bound_source == "measured"
+    assert not measured.used_high_precision
+    assert measured.v.tobytes() == res.v.tobytes()
+    assert measured.float_error_bound <= res.float_error_bound
 
 
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
     # both rungs build the same double rows: when the bounds alone choose
     # the compensated rung, its one pass builds each chunk once and no
-    # plain row is built.  A_hi decides _ends_instance; at delta = 2e-13
-    # the kde-escalate shape is decided by one box bound, which misses
-    # plain doubles and meets the compensated budget
+    # plain or majorant row is built.  A_hi decides _ends_instance; at
+    # delta = 2e-13 the kde-escalate shape is decided by one box bound,
+    # which misses plain doubles and meets the compensated budget, and
+    # A_row rules the absolute-value pass out
     for inst, source in ((_ends_instance(), "a-priori"),
                          (_escalate_instance(delta="2e-13"), "binned")):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
@@ -752,9 +792,30 @@ def test_escalate_shape_builds_no_plain_rows(monkeypatch):
         assert res.float_bound_source == source
         assert len(boxes) == (source == "binned")
         chunks = kde_mod._chunks(inst.n, fm.rank, kde_mod._DD_CHUNK_BYTES)
-        assert calls.count("build_feature_matrices") == 2 * len(chunks)
+        assert not any(majorant for _, majorant in calls)
+        assert [name for name, _ in calls].count("build_feature_matrices") \
+            == 2 * len(chunks)
         assert res.elapsed_build == 0
         assert res.float_error_bound <= 2e-13 / 2
+
+
+def test_a_priori_paths_match_the_measured_path(monkeypatch):
+    # with a priori and binned bounds that decide nothing, the
+    # absolute-value pass picks the precision; v and the precision must not
+    # depend on which bound did
+    cases = [(_lowdim_instance(), False), (_ends_instance(), True)]
+    fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
+    fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
+    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
+                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
+    for (inst, high), fm, a in zip(cases, fms, fast):
+        b = kde_matvec(inst, fm)
+        assert a.float_bound_source == "a-priori"
+        assert b.float_bound_source == "measured"
+        assert a.used_high_precision is b.used_high_precision is high
+        assert a.v.tobytes() == b.v.tobytes()
+        assert b.float_error_bound <= a.float_error_bound
 
 
 def test_a_priori_paths_match_the_box_path(monkeypatch):
@@ -774,6 +835,39 @@ def test_a_priori_paths_match_the_box_path(monkeypatch):
         assert b.float_error_bound <= a.float_error_bound
 
 
+def test_measured_bound_is_rounded_up(monkeypatch):
+    # on the measured path the reported bound is at least the exact
+    # g / (1 - gamma_N) fl(max_i A_i) + shift_slack over ||w||_1, with g
+    # the rung's coefficient;
+    # a bound summed in round-to-nearest doubles falls below it on 28 of
+    # these 80 runs
+    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
+                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 40)), int(rng.integers(1, 3))
+        inst = make_instance(rng.uniform(0, 1.2, (n, m)),
+                             rng.uniform(0, 1.2, (n, m)),
+                             rng.standard_normal(n), "1e-3")
+        _, fm = kernel_map(inst.m, inst.B, inst.delta)
+        centered, xs, ys = _sides(inst, fm)
+        abs_max = Fraction(_abs_pass(centered, fm))
+        _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
+        N = gamma_ops(inst.n, fm)
+        sums = inst.n + fm.rank
+        u = Fraction(_EPS)
+        # plain: gamma_N at u; compensated: gamma_{2d+9} at u for the rows
+        # and the final rounding, gamma_{2(n+R)} at 2^-104 for the sums
+        for force, g in (("plain", _gamma(N, u)),
+                         ("high", _gamma(2 * fm.d + 9, u) + _gamma(
+                             2 * sums, Fraction(kde_mod._EPS_DD)))):
+            res = kde_matvec(inst, fm, force=force)
+            assert res.float_bound_source == "measured"
+            exact = g * abs_max / (1 - _gamma(N, u)) + Fraction(shift_slack)
+            assert Fraction(res.float_error_bound) >= exact / w_lo
+
+
 def test_box_bound_is_rounded_up(monkeypatch):
     # on the box path the reported bound is at least the exact
     # (g A_box + shift_slack) / w_lo, with g the rung's coefficient
@@ -787,8 +881,8 @@ def test_box_bound_is_rounded_up(monkeypatch):
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        A_box = _binned_abs_bound(centered.X, centered.Y, xs, ys, centered.w,
-                                  fm)
+        _, A_box = _binned_abs_bound(centered.X, centered.Y, xs, ys,
+                                     centered.w, fm)
         _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
@@ -804,26 +898,37 @@ def test_box_bound_is_rounded_up(monkeypatch):
             assert Fraction(res.float_error_bound) >= exact / w_lo
 
 
-def _wide_instance(n, seed):
-    # m = 2, delta = 1e-3 in a box of squared diameter 249: the norm-binned
-    # bound missed both rungs here and only a measured pass certified
+def _wide_instance(n, seed, diameter_sq=249):
+    # m = 2, delta = 1e-3 in a box of the given squared diameter; at 249
+    # the norm-binned bound missed both rungs and only a measured pass
+    # certified
     rng = np.random.default_rng(seed)
-    side = math.sqrt(124.5)
+    side = math.sqrt(diameter_sq / 2)
     X = rng.uniform(0.0, side, (n, 2))
     Y = rng.uniform(0.0, side, (n, 2))
     return make_instance(X, Y, rng.standard_normal(n), "1e-3")
 
 
+def _assert_wide_solve(inst, source):
+    res = solve(inst)
+    assert res.float_bound_source == source
+    assert res.used_high_precision
+    assert res.float_error_bound <= 1e-3 / 2
+    gap = float(np.abs(res.v - kde_bruteforce(inst)).max())
+    assert gap <= 1e-3 * float(np.abs(inst.w).sum())
+
+
 def test_wide_box_certifies_the_compensated_rung():
     # at n = 76 each row is its own leaf; at n = 256 each leaf holds two
     for n, seed in ((76, 3), (256, 1)):
-        inst = _wide_instance(n, seed)
-        res = solve(inst)
-        assert res.float_bound_source == "binned"
-        assert res.used_high_precision
-        assert res.float_error_bound <= 1e-3 / 2
-        gap = float(np.abs(res.v - kde_bruteforce(inst)).max())
-        assert gap <= 1e-3 * float(np.abs(inst.w).sum())
+        _assert_wide_solve(_wide_instance(n, seed), "binned")
+
+
+def test_measured_pass_certifies_past_the_box_bound():
+    # at squared diameter 255 (B estimated 253.2) the box bound misses the
+    # compensated budget and A_row does not rule it out; the measured pass
+    # certifies it, at 0.74 of the budget
+    _assert_wide_solve(_wide_instance(196, 1, diameter_sq=255), "measured")
 
 
 def test_make_instance_refuses_B_below_the_cross_range():
@@ -967,7 +1072,12 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
     with mock.patch.object(kde_mod, "_abs_sum_bounds",
                            lambda *args: undecided):
         results += [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
-    assert {r.float_bound_source for r in results[2:]} == {"binned"}
+        with mock.patch.object(kde_mod, "_binned_abs_bound",
+                               lambda *args: None):
+            results += [kde_matvec(inst, fm),
+                        kde_matvec(inst, fm, force="high")]
+    assert {r.float_bound_source for r in results[2:4]} == {"binned"}
+    assert {r.float_bound_source for r in results[4:]} == {"measured"}
     for res in results:
         gap = max(abs(Fraction(float(v)) - e) for v, e in zip(res.v, exact))
         assert gap <= Fraction(res.float_error_bound) * w1
