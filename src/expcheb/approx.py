@@ -393,11 +393,11 @@ def degree_lower_bound(spec: ProblemSpec) -> int:
     x0 = 1 + L.shifted(1) / (spec.B - L)
     thr_frac = (1 - spec.delta_frac) / (2 * spec.delta_frac)
     x0f = x0.to_float()
-    thrf = float(thr_frac)
-    if x0f > 1 and thrf > 1:
-        d_est = max(1, math.floor(math.acosh(thrf) / math.acosh(x0f)) - 2)
-    else:
-        d_est = 1
+    # the search starts from acosh(thr) ~ ln(2 thr), taken from logarithms
+    # so that a thr past the double range does not overflow
+    ln_2thr = math.log(2 * thr_frac.numerator) - math.log(thr_frac.denominator)
+    d_est = max(1, math.floor(ln_2thr / math.acosh(x0f)) - 2) if x0f > 1 \
+        else 1
 
     def reaches(d: int) -> bool:
         # scaled Chebyshev value: T_d(x0) = 2^{d-1} * monic value

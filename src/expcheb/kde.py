@@ -92,36 +92,29 @@ of A_i over beta and over i + j + k = s undoes the factorization
     A_i = sum_n |w_n| Q_abs(|a'_i| + 2 <|x'_i|, |y'_n|> + |c'_n|),
 
 with Q_abs(s) = sum_k |q_k| s^k, whose ratio to |q(s)| is the condition
-number of evaluating q.  Q_abs is nondecreasing on s >= 0, and
-<|x|, |y|> <= sqrt(a c) by Cauchy-Schwarz (a, c the squared norms).
+number of evaluating q.  Q_abs is nondecreasing on s >= 0.
 
-One pass per side reads fl(||p'||^2) per row; max |a'| and max |c'| are
-the rows' own doubles, and the float maximum of the squared norms over
-1 - gamma_m, rounded up, bounds the exact one (gamma_m covers the m
-roundings of each sum of squares).  ||w||_1 is read once, by math.fsum,
-so w_lo = (1 - u) fl(||w||_1) <= ||w||_1 <= w_lo / (1 - u)^2.  Then, in
-O(d) and exactly in rationals,
+One pass per side reads fl(||p'||^2) per row.  The float maximum of the
+squared norms over 1 - gamma_m, rounded up, bounds the exact one
+(gamma_m covers the m roundings of each sum of squares), and with the
+rows' own max |a'| gives e_a.  ||w||_1 is read once, by math.fsum, so
+w_lo = (1 - u) fl(||w||_1) <= ||w||_1.
 
-    A_lo = w_lo Q_abs(max |a'|) <= max_i A_i
-         <= w_lo / (1 - u)^2 Q_abs(max |a'| + 2 r + max |c'|) = A_hi,
-
-with r >= sqrt(a_max c_max) the product of the two square roots rounded
-up.
-
-The box bound refines A_hi with pairs of boxes (after Greengard and
-Strain, SISC 1991), which keep the direction that Cauchy-Schwarz drops.
-With h = t0/2, |a'| = -a' + 2 a'+ (a'+ = max(a', 0)) and
-a' >= ||x'||^2 - h - e_a, and likewise for c', the argument folds:
+The box bound works on pairs of boxes (after Greengard and Strain, SISC
+1991), which keep the direction of the points.  With h = t0/2,
+|a'| = -a' + 2 a'+ (a'+ = max(a', 0)) and a' >= ||x'||^2 - h - e_a, and
+likewise for c', the argument folds:
 
     |a'| + |c'| + 2 <|x'|, |y'|>
         <= 2h + e_a + e_c + 2 a'+ + 2 c'+ - || |x'| - |y'| ||^2.
 
-Each side is cut into at most _BINS k-d leaves of |p'|: level by level,
+Each side is cut into at most K k-d leaves of |p'|: level by level,
 each node splits at its middle leaf, at a median of its widest
-coordinate (for m = 1, quantile bins).  Leaf I of X keeps the ranges
-[lo_I, hi_I] of its |x'| per coordinate and its largest a'; leaf J of Y
-the same, and W_J, the float sum of its |w_n|, within gamma_n of the
-exact one.  Every pair from leaves I and J has an argument of at most
+coordinate (for m = 1, quantile bins); at K = 1 nothing is sorted.
+Leaf I of X keeps the ranges [lo_I, hi_I] of its |x'| per coordinate
+and its largest a'; leaf J of Y the same, and W_J, the float sum of its
+|w_n|, within gamma_n of the exact one.  Every pair from leaves I and J
+has an argument of at most
 
     t_IJ = 2h + e_a + e_c + 2 a'_I+ + 2 c'_J+ - sum_l gap_l^2,
     gap_l = max(0, lo_Il - hi_Jl, lo_Jl - hi_Il).
@@ -138,7 +131,7 @@ J K_y - 1, all on nonnegative operands, so
     A_box = fl(max_I sum_J W_J Q_abs(t_IJ))
             / ((1 - gamma_n) (1 - gamma_{2d + K_y + 1})),
 
-in O(n log n log _BINS + _BINS^2 (m + d)) in all.
+in O(n log n log K + K^2 (m + d)) in all, and O(n (m + d)) at K = 1.
 
 With it comes A_row <= max_i A_i, from the first row x' of the leaf
 where the box sum peaks.  Its arguments t_n against every row of Y take
@@ -153,24 +146,29 @@ sum over n n - 1, so
 
 in O(n (m + d)).  The measured pass is the plain matvec of the majorant
 (|x'|, |y'|, |a'|, |c'|, |w|, |Horner coefficients| and |pair scales|),
-nonnegative data, so its float max_i A_i over 1 - gamma_N bounds
-max_i A_i.
+nonnegative data, so its float max_i A_i over 1 + gamma_N and over
+1 - gamma_N encloses max_i A_i.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
 and then the compensated rung.  A rung bounds the error by its
-coefficient times A plus shift_slack, rounded up.  It takes A = A_hi
-when that meets the budget, and fails with no further work when A = A_lo
-misses it, because every upper bound is at least A_lo.  Otherwise it
-tries A = A_box, and then, unless A = A_row misses the budget too, the
-measured pass; each is computed at most once per call.  SoundnessError
-ends a ladder whose last rung fails.
+coefficient times A plus shift_slack, rounded up.  It tries three
+enclosures [lower, upper] of max_i A_i in turn: [A_row, A_box] at one
+leaf per side ("a-priori"), the same at _BINS leaves ("binned"), and
+the measured pass ("measured"), each computed at most once per call.
+The rung is certified at the first upper end that meets its budget and
+given up at the first lower end that misses it, since every upper end is
+at least max_i A_i; a lower end is computed only when its upper end
+misses, and an enclosure whose doubles overflow is skipped.
+SoundnessError ends a ladder whose last rung fails.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -257,11 +255,11 @@ class KdeResult:
     `elapsed_build` is the time spent building the plain pass's feature
     rows, plus the absolute-value pass when it runs.  It is 0 on the
     compensated path unless that pass ran.  `elapsed_matvec` is the rest:
-    the bounds (the box bound included), the plain BLAS products or the
-    compensated pass, its rows included.  `float_bound_source` says which
-    bound on max_i A_i certified the run (module docstring): "a-priori"
-    (A_hi, from the norm maxima), "binned" (A_box, from pairs of k-d
-    boxes) or "measured" (the absolute-value pass).
+    the box bounds, the plain BLAS products or the compensated pass, its
+    rows included.  `float_bound_source` says which enclosure of
+    max_i A_i certified the run (module docstring): "a-priori" (the box
+    bound at one leaf per side), "binned" (at _BINS leaves) or
+    "measured" (the absolute-value pass).
     """
     v: np.ndarray
     M: int                         # feature rank R
@@ -684,12 +682,11 @@ def _round_down(q: Fraction) -> float:
     return f if Fraction(f) <= q else math.nextafter(f, 0.0)
 
 
-def _norms(P: np.ndarray, fm: FeatureMap
-           ) -> tuple[np.ndarray, Fraction, float, Fraction]:
+def _norms(P: np.ndarray, fm: FeatureMap) -> tuple[np.ndarray, Fraction]:
     """One side's squared norms, read by every bound: fl(||p'||^2) per
-    row, max |a'| from the rows' own doubles, the float maximum of the
-    squared norms over 1 - gamma_m, rounded up, which bounds the exact
-    max ||p'||^2, and e_a >= |a' - (||p'||^2 - t0/2)| over the rows."""
+    row, and e_a >= |a' - (||p'||^2 - t0/2)| over the rows, from the
+    rows' own max |a'| and the float maximum of the squared norms over
+    1 - gamma_m, rounded up, which bounds the exact max ||p'||^2."""
     s = _norm_sq(P)
     s_max = float(s.max())
     u = Fraction(_EPS)
@@ -700,29 +697,7 @@ def _norms(P: np.ndarray, fm: FeatureMap
         raise DomainError("squared norms of the centered coordinates "
                           "overflow double precision")
     a_abs = Fraction(float(np.abs(s - fm.shift).max()))
-    return s, a_abs, hi, g * Fraction(hi) + u / (1 - u) * a_abs
-
-
-def _abs_sum_bounds(xs: tuple, ys: tuple, w_lo: Fraction,
-                    fm: FeatureMap) -> tuple[Fraction, Fraction]:
-    """(A_lo, A_hi) with A_lo <= max_i A_i <= A_hi, in O(d) from the sides'
-    _norms and w_lo <= ||w||_1 <= w_lo / (1 - u)^2 (module docstring)."""
-    _, a_abs, a_hi, _ = xs
-    _, c_abs, c_hi, _ = ys
-    q_abs = [abs(c) for c in fm.shifted]
-
-    def Q_abs(s: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(q_abs):
-            acc = acc * s + c
-        return acc
-
-    r = math.sqrt(a_hi) * math.sqrt(c_hi)
-    while Fraction(r) ** 2 < Fraction(a_hi) * Fraction(c_hi):
-        r = math.nextafter(r, math.inf)
-    u = Fraction(_EPS)
-    return (w_lo * Q_abs(a_abs),
-            w_lo / (1 - u) ** 2 * Q_abs(a_abs + 2 * Fraction(r) + c_abs))
+    return s, g * Fraction(hi) + u / (1 - u) * a_abs
 
 
 def _leaf_boxes(P: np.ndarray, p_sq: np.ndarray, K: int, fm: FeatureMap):
@@ -730,11 +705,12 @@ def _leaf_boxes(P: np.ndarray, p_sq: np.ndarray, K: int, fm: FeatureMap):
     K k-d leaves of |p'|, and per leaf the ranges lo, hi of |p'| and
     2 max(0, largest a').  Level by level, each node of leaves [L0, L1)
     splits at leaf (L0 + L1) // 2 after its rows are sorted along its
-    widest coordinate; for m = 1 one sort makes every level's split."""
+    widest coordinate; for m = 1 one sort makes every level's split.  For
+    K = 1 the order is slice(None): no row is sorted or copied."""
     A = np.abs(P)
     n = A.shape[0]
     edges = np.arange(K + 1) * n // K
-    order = np.argsort(A[:, 0])
+    order = np.argsort(A[:, 0]) if K > 1 else slice(None)
     nodes = np.array([0, K]) if P.shape[1] > 1 else np.arange(K + 1)
     while len(nodes) <= K:      # nodes holds the leaf bounds of one level
         starts, rows = edges[nodes[:-1]], A[order]
@@ -748,26 +724,26 @@ def _leaf_boxes(P: np.ndarray, p_sq: np.ndarray, K: int, fm: FeatureMap):
         nodes = np.sort(np.concatenate(
             [nodes, ((nodes[:-1] + nodes[1:]) // 2)[split]]))
     rows = A[order]
-    top = np.maximum.reduceat(p_sq[order] - fm.shift, edges[:-1])
+    top = np.maximum.reduceat(p_sq[order], edges[:-1]) - fm.shift
     return (order, np.minimum.reduceat(rows, edges[:-1]),
             np.maximum.reduceat(rows, edges[:-1]), 2 * np.maximum(top, 0.0))
 
 
 def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
-                      w: np.ndarray, fm: FeatureMap
-                      ) -> tuple[Fraction, Fraction] | None:
-    """(A_row, A_box) with A_row <= max_i A_i <= A_box: A_box from pairs
-    of at most _BINS k-d boxes per side of the centered rows |x'| and
-    |y'|, A_row from the first row of the leaf where the box sum peaks,
-    with the sides' _norms (module docstring); None when the double
-    evaluation overflows."""
+                      w: np.ndarray, fm: FeatureMap, leaves: int
+                      ) -> tuple[Callable[[], Fraction], Fraction] | None:
+    """(A_row, A_box) with A_row() <= max_i A_i <= A_box: A_box from pairs
+    of at most `leaves` k-d boxes per side of the centered rows |x'| and
+    |y'|, A_row a cached function for the first row of the leaf where the
+    box sum peaks, with the sides' _norms (module docstring); None when
+    the double evaluation overflows."""
     n = w.shape[0]
-    K = min(n, _BINS)
+    K = min(n, leaves)
     order_x, lo_x, hi_x, a_pos = _leaf_boxes(X, xs[0], K, fm)
     order, lo_y, hi_y, c_pos = _leaf_boxes(Y, ys[0], K, fm)
     W = np.add.reduceat(np.abs(w[order]), np.arange(K) * n // K)
     u = Fraction(_EPS)
-    head = 2 * Fraction(fm.shift) + xs[3] + ys[3]
+    head = 2 * Fraction(fm.shift) + xs[1] + ys[1]
     S = head + Fraction(float(a_pos.max())) + Fraction(float(c_pos.max()))
     head = _round_up(head + 2 * _gamma(fm.m + 5, u) * S)
     gap_sq = np.zeros((K, K))
@@ -779,9 +755,9 @@ def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
     total = float(per_leaf[top])
     if not math.isfinite(total):
         return None
-    i = order_x[top * n // K]
-    return (_row_abs_lower(X[i], xs[0][i] - fm.shift, Y, ys[0] - fm.shift,
-                           w, fm),
+    i = order_x[top * n // K] if K > 1 else 0
+    return (functools.cache(functools.partial(
+                _row_abs_lower, X[i], xs[0][i], Y, ys[0], w, fm)),
             Fraction(total) / ((1 - _gamma(n, u))
                                * (1 - _gamma(2 * fm.d + K + 1, u))))
 
@@ -796,12 +772,14 @@ def _q_abs_fl(t: np.ndarray, fm: FeatureMap) -> np.ndarray:
     return Q
 
 
-def _row_abs_lower(x: np.ndarray, a: float, Y: np.ndarray, c: np.ndarray,
-                   w: np.ndarray, fm: FeatureMap) -> Fraction:
-    """A lower bound on A_i for one centered row x with a' = a, from the
-    centered rows Y with c' = c (module docstring); 0 when the doubles
-    overflow."""
-    t = (np.abs(c) + abs(a)) + 2 * (np.abs(Y) @ np.abs(x))
+def _row_abs_lower(x: np.ndarray, x_sq: float, Y: np.ndarray,
+                   y_sq: np.ndarray, w: np.ndarray,
+                   fm: FeatureMap) -> Fraction:
+    """A lower bound on A_i for one centered row x with fl(||x||^2) =
+    x_sq, from the centered rows Y with fl(||y||^2) = y_sq (module
+    docstring); 0 when the doubles overflow."""
+    t = (np.abs(y_sq - fm.shift) + abs(x_sq - fm.shift)) \
+        + 2 * (np.abs(Y) @ np.abs(x))
     t_max = float(t.max())
     if not math.isfinite(t_max):
         return Fraction(0)
@@ -821,8 +799,11 @@ def _budget(inst: KdeInstance, xs: tuple, ys: tuple
     math.fsum rounds the exact ||w||_1 to nearest, so it is within a
     factor 1 +- u of it."""
     u = Fraction(_EPS)
-    moved = 8 * inst.m * inst.B * u * (1 + 4 * u) + xs[3] + ys[3]
-    w_fl = Fraction(math.fsum(np.abs(inst.w).tolist()))
+    moved = 8 * inst.m * inst.B * u * (1 + 4 * u) + xs[1] + ys[1]
+    try:
+        w_fl = Fraction(math.fsum(np.abs(inst.w).tolist()))
+    except OverflowError:
+        raise DomainError("||w||_1 overflows double precision") from None
     return (_round_down(inst.delta / 2 * (1 - u) * w_fl),
             _round_up(moved * (1 + u) * w_fl),
             (1 - u) * w_fl)
@@ -864,32 +845,23 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
               + _gamma(2 * sums, Fraction(_EPS_DD)))]
 
     t0 = time.perf_counter()
-    A_lo, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
-    # each computed at most once per call, and only when a rung needs it
-    A_box = None        # (lower, upper) from the box pairs
-    A_measured = None   # fl(max_i A_i) / (1 - gamma_N)
     build_s = 0.0
+    found = {}      # source -> (lower, upper) of max_i A_i, None on overflow
     for use_high, g in {None: rungs, "plain": rungs[:1],
                         "high": rungs[1:]}[force]:
-        bound = _round_up(g * A_hi + slack)
-        source = "a-priori"
-        if bound > budget and _round_up(g * A_lo + slack) <= budget:
-            if A_box is None:
-                box = _binned_abs_bound(inst.X, inst.Y, xs, ys, inst.w, fm)
-                A_box = (A_lo, A_hi) if box is None else box
-            bound = _round_up(g * A_box[1] + slack)
-            source = "binned"
-            if bound > budget and \
-                    _round_up(g * A_box[0] + slack) <= budget:
-                if A_measured is None:
-                    t = time.perf_counter()
-                    a = _abs_pass(inst, fm)
-                    # an overflowed pass measures nothing past A_hi
-                    A_measured = Fraction(a) / (1 - _gamma(N, u)) \
-                        if math.isfinite(a) else A_hi
+        bound = math.inf
+        for source in ("a-priori", "binned", "measured"):
+            if source not in found:     # at most once per call
+                t = time.perf_counter()
+                found[source] = _enclosure(source, inst, fm, xs, ys)
+                if source == "measured":
                     build_s += time.perf_counter() - t
-                bound = _round_up(g * A_measured + slack)
-                source = "measured"
+            if found[source] is None:
+                continue
+            lower, upper = found[source]
+            bound = _round_up(g * upper + slack)
+            if bound <= budget or _round_up(g * lower() + slack) > budget:
+                break
         if bound <= budget:
             break
     else:
@@ -898,7 +870,7 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
             f"bound {bound:g} exceeds the budget {budget:g}"
             + ("; drop force='plain'" if force == "plain" else ""))
 
-    del xs, ys    # the passes need no squared norms; free them first
+    del xs, ys, found  # the passes need no squared norms; free them first
     if use_high:
         v = _matvec_dd(inst, fm)
     else:
@@ -911,6 +883,21 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
                      degree=fm.d, float_error_bound=rel_bound,
                      used_high_precision=use_high,
                      float_bound_source=source)
+
+
+def _enclosure(source: str, inst: KdeInstance, fm: FeatureMap, xs: tuple,
+               ys: tuple) -> tuple[Callable[[], Fraction], Fraction] | None:
+    """(lower, upper) of max_i A_i for a centered instance from one
+    level of the ladder (module docstring), the lower end a function that
+    is called only when the upper end misses; None when its doubles
+    overflow."""
+    if source != "measured":
+        return _binned_abs_bound(inst.X, inst.Y, xs, ys, inst.w, fm,
+                                 1 if source == "a-priori" else _BINS)
+    a = _abs_pass(inst, fm)
+    g = _gamma(gamma_ops(inst.n, fm), Fraction(_EPS))
+    return (lambda: Fraction(a) / (1 + g), Fraction(a) / (1 - g)) \
+        if math.isfinite(a) else None
 
 
 def _abs_pass(inst: KdeInstance, fm: FeatureMap) -> float:

@@ -195,6 +195,23 @@ def test_prediction_huge_B():
     assert abs(pred.predicted_degree.to_float() - math.sqrt(3000 * L)) < 1e-9
 
 
+@pytest.mark.parametrize("target, rho", [(Target.EXP_NEG, 0.25),
+                                         (Target.EXP_NEG, 1.0),
+                                         (Target.EXP_POS, 1.0)])
+def test_leading_constants_emerge_as_delta_shrinks(target, rho):
+    # at B = 2 rho ln(1/delta) the certified degree over the regime's
+    # prediction tends to 1 (0.94 -> 0.999 at rho = 0.25), and the
+    # bracket stays within 3 degrees at delta = 1e-1000
+    gaps = []
+    for e in (12, 100, 1000):
+        spec = _spec(target, repr(2 * rho * e * math.log(10)), f"1e-{e}")
+        cert = find_degree(spec)
+        ratio = cert.D_upper / predict_degree(spec).predicted_degree.to_float()
+        gaps.append(abs(ratio - 1))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert cert.D_upper - cert.D_lower <= 3
+
+
 def test_trivial_problem_certificate():
     cert = find_degree(_spec(Target.EXP_NEG, 1, "0.9"))
     assert cert.D_upper == 1
@@ -299,6 +316,13 @@ def test_growth_witness_values():
         thr = (1 - mpmath.mpf("1e-6")) / (2 * mpmath.mpf("1e-6"))
         assert mpmath.cosh(D * mpmath.acosh(x0)) >= thr
         assert mpmath.cosh((D - 1) * mpmath.acosh(x0)) < thr
+
+
+def test_growth_witness_at_a_tolerance_past_the_double_range():
+    # (1 - delta) / (2 delta) overflows a double at delta = 1e-1000; the
+    # search starts from its logarithm instead
+    spec = _spec(Target.EXP_NEG, "4605.170185988091", "1e-1000")
+    assert degree_lower_bound(spec) <= find_degree(spec).D_upper == 3470
 
 
 def test_growth_witness_preconditions():

@@ -343,6 +343,12 @@ def test_kde_input_validation(tmp_path, capsys):
     code, out, err = _run(capsys, ["kde", "--instance", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: B = 35 is below 36")
+    # finite weights whose sum overflows a double
+    path.write_text(json.dumps({"x": [[0.0]] * 64, "y": [[0.0]] * 64,
+                                "w": [1e307] * 64, "delta": "1e-3"}))
+    code, out, err = _run(capsys, ["kde", "--instance", str(path)])
+    assert code == 2 and out == ""
+    assert "overflows" in err
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from expcheb.kde import (
 from expcheb.kde import (
     _EPS,
     _abs_pass,
-    _abs_sum_bounds,
     _binned_abs_bound,
     _dd_sum_tree,
     _gamma,
@@ -570,8 +569,9 @@ def _bound_cases():
               rng.integers(-8, 9, (6, 2)) / 16,
               np.array([1.0, -1.0, 1.0 + 2.0 ** -40, -1.0 + 2.0 ** -52,
                         2.0 ** -30, -1.0]), 9)
-    # n = 1 with y = -x: Cauchy-Schwarz is tight, so A_hi has no slack but
-    # the outward rounding; B = 18 covers ||2x||^2 = 17.03
+    # n = 1 with y = -x: |x'| = |y'|, so the folded argument is tight and
+    # the box bound has no slack but its rounding; B = 18 covers
+    # ||2x||^2 = 17.03
     single = (_ROUNDS_DOWN, -_ROUNDS_DOWN, np.array([-0.75]), 18)
     # criterion 08's shape, m = 8, at a small n
     wide = (rng.integers(-8, 9, (5, 8)) / 16,
@@ -581,19 +581,6 @@ def _bound_cases():
                   expand_kernel_poly(p, X.shape[1]))
                  for X, Y, w, B in (far, cancel, single, wide)
                  for p in (poly, power))
-
-
-def test_a_priori_bounds_enclose_exact_abs_sum():
-    for inst, fm in _bound_cases():
-        centered, xs, ys = _sides(inst, fm)
-        _, _, w_lo = kde_mod._budget(centered, xs, ys)
-        A_lo, A_hi = _abs_sum_bounds(xs, ys, w_lo, fm)
-        exact = _exact_abs_sum_max(inst, fm)
-        assert A_lo <= exact <= A_hi
-    # the single-row case rests on the upward rounding of the squared norm
-    a_fl = float((_ROUNDS_DOWN * _ROUNDS_DOWN).sum(axis=1).max())
-    assert Fraction(a_fl) < sum(Fraction(float(v)) ** 2
-                                for v in _ROUNDS_DOWN[0])
 
 
 def test_shift_slack_covers_the_rounded_norms():
@@ -618,6 +605,12 @@ def test_shift_slack_covers_the_rounded_norms():
     w1 = sum(abs(Fraction(float(v))) for v in inst.w)
     centering = 8 * inst.m * inst.B * u * (1 + 4 * u)
     assert Fraction(shift_slack) >= (centering + moved) * w1
+    # a row whose float sum of squares rounds below the exact one: e_a
+    # rests on the upward rounding of the largest squared norm
+    assert _shifted(_ROUNDS_DOWN[0], fm) + Fraction(fm.shift) \
+        < sum(Fraction(float(v)) ** 2 for v in _ROUNDS_DOWN[0])
+    _, e_a = kde_mod._norms(_ROUNDS_DOWN, fm)
+    assert e_a >= rounding(_ROUNDS_DOWN) > 0
 
 
 def _lowdim_instance(n=4096, seed=1):
@@ -641,8 +634,8 @@ def _escalate_instance(n=1024, seed=1, delta="1e-12"):
 def _ends_instance(n=1024, seed=1):
     # sources near both ends of [-2, 2], queries near its midpoint, and B
     # a bound on the true squared diameter: |a'| reaches about 3B/4 > t0,
-    # so at delta = 2e-13 even A_lo rules out plain doubles, while A_hi
-    # admits the compensated rung
+    # so at delta = 2e-13 the one-leaf A_row rules out plain doubles, while
+    # the one-leaf box bound admits the compensated rung
     rng = np.random.default_rng(seed)
     X = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.9, 2.0, n))[:, None]
     Y = rng.uniform(-0.05, 0.05, (n, 1))
@@ -653,11 +646,12 @@ def test_lower_bound_below_measured_abs_sum():
     for inst in (_ends_instance(), _escalate_instance()):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        _, _, w_lo = kde_mod._budget(centered, xs, ys)
-        A_lo, _ = _abs_sum_bounds(xs, ys, w_lo, fm)
         abs_scale = 1.0 / (1.0 - _gamma(gamma_ops(inst.n, fm), _EPS))
         measured = _abs_pass(centered, fm) * abs_scale
-        assert A_lo <= Fraction(measured)
+        for leaves in (1, kde_mod._BINS):
+            A_row, _ = _binned_abs_bound(centered.X, centered.Y, xs, ys,
+                                         centered.w, fm, leaves)
+            assert A_row() <= Fraction(measured)
 
 
 def _straddle_instance():
@@ -686,11 +680,11 @@ def _triangle_case():
 
 
 def _binned_cases():
-    # far from the origin, cancelling weights, n = 1 with Cauchy-Schwarz
-    # tight, and m = 8 (_bound_cases); the kde-escalate and _ends shapes
-    # at small n; an m = 3 box; equal norms across leaf edges; the
+    # far from the origin, cancelling weights, n = 1 with the folded
+    # argument tight, and m = 8 (_bound_cases); the kde-escalate and _ends
+    # shapes at small n; an m = 3 box; equal norms across leaf edges; the
     # triangle, whose positive a' the folded argument must cover; a
-    # constant kernel
+    # constant kernel; an argument that rounds up
     yield from _bound_cases()
     for inst in (_escalate_instance(n=24), _ends_instance(n=24)):
         yield inst, kernel_map(inst.m, inst.B, inst.delta)[1]
@@ -708,19 +702,32 @@ def _binned_cases():
         yield (make_instance([[0.0], [0.5]], [[0.25], [0.0]], [1.0, w],
                              "1e-3", B=1),
                expand_kernel_poly(_synthetic_poly([1]), 1))
+    # n = 1 and q(s) = s^16, with ||x||^2 just above t0/2 = 1/4: the
+    # float argument of A_row rounds up by 2.3 u relative, which q
+    # amplifies 16-fold, past the gamma_{2d+2} factor of A_row unless the
+    # argument is lowered first; y = -x keeps the centering exact
+    x = [float.fromhex(h) for h in ("0x1.068cd738c0d2fp-2",
+                                    "0x1.022ef48410d41p-2",
+                                    "0x1.1c80936d140e6p-3",
+                                    "0x1.ed81fb6f25ee1p-3",
+                                    "0x1.ab337e45603ffp-3")]
+    yield (make_instance([x], [[-v for v in x]], [1.0], "1e-3", B=1),
+           expand_kernel_poly(_synthetic_poly(
+               [math.comb(16, k) * Fraction(-1, 2) ** (16 - k)
+                for k in range(17)]), 5))
 
 
-def test_binned_bound_encloses_exact_abs_sum(monkeypatch):
+def test_binned_bound_encloses_exact_abs_sum():
     # every case has n <= 24 below _BINS, so each point is its own leaf;
-    # 5 and 2 leaves put several points, and equal norms, in one leaf
+    # 5 and 2 leaves put several points, and equal norms, in one leaf, and
+    # one leaf holds every point
     for inst, fm in _binned_cases():
         exact = _exact_abs_sum_max(inst, fm)
         centered, xs, ys = _sides(inst, fm)
-        for bins in (kde_mod._BINS, 5, 2):
-            monkeypatch.setattr(kde_mod, "_BINS", bins)
+        for leaves in (kde_mod._BINS, 5, 2, 1):
             A_row, A_box = _binned_abs_bound(centered.X, centered.Y, xs, ys,
-                                             centered.w, fm)
-            assert A_row <= exact <= A_box
+                                             centered.w, fm, leaves)
+            assert A_row() <= exact <= A_box
     inst, fm = _triangle_case()
     assert (_sides(inst, fm)[1][0] > fm.shift).any()
 
@@ -740,34 +747,52 @@ def _spy_rows(monkeypatch):
 
 
 def _spy_box(monkeypatch):
-    # the arguments of each box bound computed
-    calls = []
+    # the leaf count of each box bound computed
+    leaves = []
     real = kde_mod._binned_abs_bound
     monkeypatch.setattr(kde_mod, "_binned_abs_bound",
-                        lambda *args: calls.append(args) or real(*args))
-    return calls
+                        lambda *args: leaves.append(args[-1]) or real(*args))
+    return leaves
+
+
+def _undecided_at_one_leaf(monkeypatch):
+    # the one-leaf level neither certifies nor rules out any rung
+    real = kde_mod._binned_abs_bound
+    monkeypatch.setattr(
+        kde_mod, "_binned_abs_bound",
+        lambda *args: (lambda: Fraction(0), Fraction(10 ** 400))
+        if args[-1] == 1 else real(*args))
 
 
 def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
-    # A_hi decides the kde-lowdim shape; the box bound is never computed
+    # the one-leaf box bound decides the kde-lowdim shape: no row is
+    # sorted and the binned bound is never computed
     calls, boxes = _spy_rows(monkeypatch), _spy_box(monkeypatch)
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(
+        np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
     res = solve(_lowdim_instance())
     assert not res.used_high_precision
     assert res.float_bound_source == "a-priori"
     assert calls and not any(majorant for _, majorant in calls)
-    assert not boxes
+    assert boxes == [1] and not sorts
 
 
 def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
-    # A_hi misses the plain budget thousands of times over and A_lo does
-    # not rule plain doubles out; the binned bound certifies them with no
+    # the one-leaf bound certifies plain doubles on the kde-escalate
+    # shape; with that level undecided the binned bound does, with no
     # majorant row, and v is bitwise the measured path's
+    one_leaf = solve(_escalate_instance())
+    assert one_leaf.float_bound_source == "a-priori"
     calls = _spy_rows(monkeypatch)
+    _undecided_at_one_leaf(monkeypatch)
     res = solve(_escalate_instance())
     assert res.float_bound_source == "binned"
     assert not res.used_high_precision
     assert res.float_error_bound <= 1e-12 / 2
     assert calls and not any(majorant for _, majorant in calls)
+    assert one_leaf.v.tobytes() == res.v.tobytes()
     monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
     measured = solve(_escalate_instance())
     assert measured.float_bound_source == "measured"
@@ -779,18 +804,20 @@ def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
     # both rungs build the same double rows: when the bounds alone choose
     # the compensated rung, its one pass builds each chunk once and no
-    # plain or majorant row is built.  A_hi decides _ends_instance; at
-    # delta = 2e-13 the kde-escalate shape is decided by one box bound,
-    # which misses plain doubles and meets the compensated budget, and
-    # A_row rules the absolute-value pass out
-    for inst, source in ((_ends_instance(), "a-priori"),
-                         (_escalate_instance(delta="2e-13"), "binned")):
+    # plain or majorant row is built.  The one-leaf bound decides
+    # _ends_instance: its A_row rules plain doubles out.  At
+    # delta = 2e-13 the kde-escalate shape needs the binned bound to rule
+    # them out, its A_row ruling out the absolute-value pass, and the
+    # one-leaf bound then certifies the compensated rung
+    for inst, leaves in ((_ends_instance(), [1]),
+                         (_escalate_instance(delta="2e-13"),
+                          [1, kde_mod._BINS])):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         calls, boxes = _spy_rows(monkeypatch), _spy_box(monkeypatch)
         res = kde_matvec(inst, fm)
         assert res.used_high_precision
-        assert res.float_bound_source == source
-        assert len(boxes) == (source == "binned")
+        assert res.float_bound_source == "a-priori"
+        assert boxes == leaves
         chunks = kde_mod._chunks(inst.n, fm.rank, kde_mod._DD_CHUNK_BYTES)
         assert not any(majorant for _, majorant in calls)
         assert [name for name, _ in calls].count("build_feature_matrices") \
@@ -800,14 +827,12 @@ def test_escalate_shape_builds_no_plain_rows(monkeypatch):
 
 
 def test_a_priori_paths_match_the_measured_path(monkeypatch):
-    # with a priori and binned bounds that decide nothing, the
+    # with box bounds that overflow at both resolutions, the
     # absolute-value pass picks the precision; v and the precision must not
     # depend on which bound did
     cases = [(_lowdim_instance(), False), (_ends_instance(), True)]
     fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
     fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
-    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
-                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
     monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
     for (inst, high), fm, a in zip(cases, fms, fast):
         b = kde_matvec(inst, fm)
@@ -819,13 +844,13 @@ def test_a_priori_paths_match_the_measured_path(monkeypatch):
 
 
 def test_a_priori_paths_match_the_box_path(monkeypatch):
-    # with a priori bounds that decide nothing, the box bound picks the
-    # precision; v and the precision must not depend on which bound did
+    # with a one-leaf level that decides nothing, the binned bound picks
+    # the precision; v and the precision must not depend on which bound
+    # did
     cases = [(_lowdim_instance(), False), (_ends_instance(), True)]
     fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
     fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
-    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
-                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    _undecided_at_one_leaf(monkeypatch)
     for (inst, high), fm, a in zip(cases, fms, fast):
         b = kde_matvec(inst, fm)
         assert a.float_bound_source == "a-priori"
@@ -841,8 +866,6 @@ def test_measured_bound_is_rounded_up(monkeypatch):
     # the rung's coefficient;
     # a bound summed in round-to-nearest doubles falls below it on 28 of
     # these 80 runs
-    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
-                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
     monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -871,8 +894,8 @@ def test_measured_bound_is_rounded_up(monkeypatch):
 def test_box_bound_is_rounded_up(monkeypatch):
     # on the box path the reported bound is at least the exact
     # (g A_box + shift_slack) / w_lo, with g the rung's coefficient
-    monkeypatch.setattr(kde_mod, "_abs_sum_bounds",
-                        lambda *args: (Fraction(0), Fraction(10 ** 400)))
+    real = kde_mod._binned_abs_bound
+    _undecided_at_one_leaf(monkeypatch)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 40)), int(rng.integers(1, 3))
@@ -881,8 +904,8 @@ def test_box_bound_is_rounded_up(monkeypatch):
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        _, A_box = _binned_abs_bound(centered.X, centered.Y, xs, ys,
-                                     centered.w, fm)
+        _, A_box = real(centered.X, centered.Y, xs, ys, centered.w, fm,
+                        kde_mod._BINS)
         _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
@@ -1033,6 +1056,27 @@ def test_float_budget_stays_below_exact_half_delta():
     assert not kde_matvec(inst, fm).used_high_precision
 
 
+def test_weights_at_the_edge_of_the_double_range():
+    # a float ||w||_1 past the double range is refused, as squared norms
+    # past it are
+    for n, weight in ((64, 1e307), (4096, 1e305)):
+        inst = make_instance(np.zeros((n, 1)), np.zeros((n, 1)),
+                             np.full(n, weight), "1e-3")
+        with pytest.raises(DomainError):
+            solve(inst)
+    # ||w||_1 = 1.7e308 still certifies plain doubles at one leaf
+    rng = np.random.default_rng(1)
+    X, Y = rng.uniform(0.0, 1.0, (2, 256, 1))
+    w = rng.choice([-1.0, 1.0], 256) * (1.7e308 / 256)
+    inst = make_instance(X, Y, w, "1e-3")
+    res = solve(inst)
+    assert res.float_bound_source == "a-priori"
+    assert not res.used_high_precision
+    assert res.float_error_bound <= 1e-3 / 2
+    gap = float(np.abs(res.v - kde_bruteforce(inst)).max())
+    assert gap <= 1e-3 * 1.7e308
+
+
 @functools.lru_cache(maxsize=None)
 def _property_map(m):
     spec = problem(Target.EXP_NEG, 9, "1e-6")
@@ -1067,10 +1111,12 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
     exact = [sum(Fraction(wj) * oracles.kernel_poly_value(
         fm.poly.monomial_form, x, y) for y, wj in zip(ys, w)) for x in xs]
     w1 = sum(abs(Fraction(wj)) for wj in w)
-    undecided = (Fraction(0), Fraction(10 ** 400))
+    undecided = (lambda: Fraction(0), Fraction(10 ** 400))
+    real = kde_mod._binned_abs_bound
     results = [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
-    with mock.patch.object(kde_mod, "_abs_sum_bounds",
-                           lambda *args: undecided):
+    with mock.patch.object(kde_mod, "_binned_abs_bound",
+                           lambda *args: undecided if args[-1] == 1
+                           else real(*args)):
         results += [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
         with mock.patch.object(kde_mod, "_binned_abs_bound",
                                lambda *args: None):
