@@ -234,7 +234,7 @@ def radius_sum_budget(spec: ProblemSpec, p_cert: int) -> Fraction:
     """Upper bound on the sum of all coefficient error radii at p_cert bits.
 
     Every radius is below 2^-p_cert times its coefficient magnitude, and
-    the absolute coefficient sum is at most 2 (decaying target) or
+    the sum of the coefficient magnitudes is at most 2 (decaying target) or
     2 e^{2 lam} (growing target).
     """
     if spec.target is Target.EXP_NEG:

@@ -26,7 +26,7 @@ g_s(c') = sum_k c_{s,0,k} c'^k, which is exact algebra
 (c_ijk = (-2)^j C(i+j, i) c_{i+j,0,k}), so only d + 1 Horner
 polynomials run per row.  The recentring is Higham's cure for an
 ill-conditioned sum (Accuracy and Stability of Numerical Algorithms,
-5.1): p's absolute sum P_abs(t) = sum |p_k| t^k grows like e^t on
+5.1): P_abs(t) = sum |p_k| t^k, p's sum in magnitudes, grows like e^t on
 [0, B], while q's coefficients are about e^-t0 (-1)^k / k!.  A nonzero
 table entry that is not a normal double raises SoundnessError.
 
@@ -72,8 +72,8 @@ value moves by at most
 
 with e_a, e_c the maxima of those bounds over the rows, charged times
 ||w||_1 (for evaluated arguments in [0, B], where p is certified).  The
-budget delta/2 ||w||_1 is rounded down, and shift_slack and
-float_error_bound up, from a float ||w||_1 within 1 +- u of the exact.
+budget delta/2 ||w||_1 is rounded down from a lower bound w_lo on
+||w||_1, and shift_slack up from an upper bound.
 
 The compensated rung keeps the same double rows and makes only the sums
 error-free or compensated (Ogita, Rump and Oishi, SISC 2005): exact
@@ -97,8 +97,9 @@ number of evaluating q.  Q_abs is nondecreasing on s >= 0.
 One pass per side reads fl(||p'||^2) per row.  The float maximum of the
 squared norms over 1 - gamma_m, rounded up, bounds the exact one
 (gamma_m covers the m roundings of each sum of squares), and with the
-rows' own max |a'| gives e_a.  ||w||_1 is read once, by math.fsum, so
-w_lo = (1 - u) fl(||w||_1) <= ||w||_1.
+rows' own max |a'| gives e_a.  ||w||_1 is read once, as the float sum s
+of the |w_n|, whose n - 1 roundings on nonnegative operands, in any
+order, give s / (1 + gamma_{n-1}) = w_lo <= ||w||_1 <= s / (1 - gamma_{n-1}).
 
 The box bound works on pairs of boxes (after Greengard and Strain, SISC
 1991), which keep the direction of the points.  With h = t0/2,
@@ -133,32 +134,34 @@ J K_y - 1, all on nonnegative operands, so
 
 in O(n log n log K + K^2 (m + d)) in all, and O(n (m + d)) at K = 1.
 
-With it comes A_row <= max_i A_i, from the first row x' of the leaf
-where the box sum peaks.  Its arguments t_n against every row of Y take
-m + 2 roundings, on nonnegative operands, so t_n (1 - (m + 2) u) is at
-most the exact argument; lowering every t_n by gamma_{m+3} max t_n,
-rounded up, covers that and the rounding of the subtraction, and the
-lowered t_n are clamped at 0.  Horner on the doubles of |q_k| (each at
-most |q_k| (1 + u)) takes 2d roundings, the product by |w_n| 1 and the
-sum over n n - 1, so
+One row x' against every row of Y bounds its A_i both ways.  Its
+arguments t_n take m + 2 roundings on nonnegative operands; a move by
+gamma_{m+3} max t_n, rounded up, covers them and its own, so lowered
+(clamped at 0) they are at most the exact ones and raised at least.
+Horner on the doubles of |q_k| (each within 1 +- u of |q_k|) takes 2d
+roundings, the product by |w_n| 1 and the sum over n n - 1, so
 
-    A_row = fl(sum_n |w_n| Q_abs(t_n lowered)) (1 - gamma_{n + 2d + 1}),
+    fl(sum_n |w_n| Q_abs(t_n lowered)) (1 - gamma_{n + 2d + 1}) <= A_i
+        <= fl(sum_n |w_n| Q_abs(t_n raised)) / (1 - gamma_{n + 2d + 1}),
 
-in O(n (m + d)).  The measured pass is the plain matvec of the majorant
-(|x'|, |y'|, |a'|, |c'|, |w|, |Horner coefficients| and |pair scales|),
-nonnegative data, so its float max_i A_i over 1 + gamma_N and over
-1 - gamma_N encloses max_i A_i.
+in O(n (m + d)) per row.  A_row is the first, for the first row of the
+leaf where the box sum peaks.  For a rung that allows max_i A_i <= L,
+the row level flags the _BINS x-leaves whose box sum is above L or
+overflows, takes each of their rows as its own box (lo = hi = |x'_i|,
+its own a') against the same y leaves, and gives the rows still above L
+the raised bound, largest box sum first, in chunks up to the first that
+misses.  Its upper end is the largest, over the rows, of the least bound
+taken for each.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
 and then the compensated rung.  A rung bounds the error by its
-coefficient times A plus shift_slack, rounded up.  It tries three
-enclosures [lower, upper] of max_i A_i in turn: [A_row, A_box] at one
-leaf per side ("a-priori"), the same at _BINS leaves ("binned"), and
-the measured pass ("measured"), each computed at most once per call.
-The rung is certified at the first upper end that meets its budget and
-given up at the first lower end that misses it, since every upper end is
-at least max_i A_i; a lower end is computed only when its upper end
-misses, and an enclosure whose doubles overflow is skipped.
+coefficient times A plus shift_slack, rounded up.  It tries [A_row, A_box]
+at one leaf per side ("a-priori"), the same at _BINS leaves ("binned"),
+then the row level with that A_row ("rows"), each box level computed at
+most once per call.  It is certified at the first upper end that meets
+its budget and given up at the first lower end that misses it (every
+upper end is at least max_i A_i); a lower end is computed only when its
+upper end misses, and an enclosure whose doubles overflow is skipped.
 SoundnessError ends a ladder whose last rung fails.
 """
 
@@ -235,17 +238,10 @@ class FeatureMap:
     poly: ExportedPolynomial
     shift: float              # t0/2, with t0 = 2 fl(B/4) ~ B/2
     shifted: tuple[Fraction, ...]  # q_k, exact: q(s) = p(s + t0)
-    absolute: bool = False    # the majorant: rows use |a'| and |c'|
 
     @property
     def rank(self) -> int:
         return feature_count(self.m, self.d)
-
-    def majorant(self) -> FeatureMap:
-        """The map of the absolute-value majorant: |Horner coefficients|,
-        |pair scales|, and |a'|, |c'| in the rows."""
-        return replace(self, horner=np.abs(self.horner),
-                       pair_scale=np.abs(self.pair_scale), absolute=True)
 
 
 @dataclass
@@ -253,13 +249,12 @@ class KdeResult:
     """Output of kde_matvec.
 
     `elapsed_build` is the time spent building the plain pass's feature
-    rows, plus the absolute-value pass when it runs.  It is 0 on the
-    compensated path unless that pass ran.  `elapsed_matvec` is the rest:
-    the box bounds, the plain BLAS products or the compensated pass, its
-    rows included.  `float_bound_source` says which enclosure of
-    max_i A_i certified the run (module docstring): "a-priori" (the box
-    bound at one leaf per side), "binned" (at _BINS leaves) or
-    "measured" (the absolute-value pass).
+    rows; it is 0 on the compensated path.  `elapsed_matvec` is the rest:
+    the bounds on max_i A_i, the plain BLAS products or the compensated
+    pass, its rows included.  `float_bound_source` says which enclosure
+    of max_i A_i certified the run (module docstring): "a-priori" (the
+    box bound at one leaf per side), "binned" (at _BINS leaves) or
+    "rows" (the _BINS leaves that miss, refined down to rows).
     """
     v: np.ndarray
     M: int                         # feature rank R
@@ -268,7 +263,7 @@ class KdeResult:
     degree: int
     float_error_bound: float       # certified per-entry bound / ||w||_1
     used_high_precision: bool
-    float_bound_source: str        # "a-priori", "binned" or "measured"
+    float_bound_source: str        # "a-priori", "binned" or "rows"
 
 
 def feature_count(m: int, d: int) -> int:
@@ -528,19 +523,13 @@ def _norm_sq(P: np.ndarray) -> np.ndarray:
     return s
 
 
-def _shifted_norms(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    """a' = fl(fl(||p||^2) - t0/2) per row; |a'| for the majorant."""
-    a = _norm_sq(P) - fm.shift
-    return np.abs(a, out=a) if fm.absolute else a
-
-
 def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     """Xmat rows: (j! / beta!) a'^i x^beta."""
     mono = _monomial_rows(P, fm)
     mono *= fm.weights
     apow = np.empty((P.shape[0], fm.d + 1))
     apow[:, 0] = 1.0
-    apow[:, 1] = _shifted_norms(P, fm)
+    apow[:, 1] = _norm_sq(P) - fm.shift     # a'
     for i in range(2, fm.d + 1):
         np.multiply(apow[:, i - 1], apow[:, 1], out=apow[:, i])
     out = np.empty((P.shape[0], fm.rank))
@@ -552,7 +541,7 @@ def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
 def _y_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     """Ymat rows: y^beta h_ij(c')."""
     mono = _monomial_rows(P, fm)
-    c = _shifted_norms(P, fm)[:, None]
+    c = (_norm_sq(P) - fm.shift)[:, None]   # c'
     g = np.zeros((P.shape[0], fm.d + 1))
     for k in range(fm.d, -1, -1):
         g *= c
@@ -731,35 +720,78 @@ def _leaf_boxes(P: np.ndarray, p_sq: np.ndarray, K: int, fm: FeatureMap):
 
 def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
                       w: np.ndarray, fm: FeatureMap, leaves: int
-                      ) -> tuple[Callable[[], Fraction], Fraction] | None:
-    """(A_row, A_box) with A_row() <= max_i A_i <= A_box: A_box from pairs
-    of at most `leaves` k-d boxes per side of the centered rows |x'| and
-    |y'|, A_row a cached function for the first row of the leaf where the
-    box sum peaks, with the sides' _norms (module docstring); None when
-    the double evaluation overflows."""
+                      ) -> tuple[Callable[[], Fraction], Fraction | None,
+                                 Callable[[Fraction], Fraction | None]]:
+    """(A_row, A_box, rows) from pairs of at most `leaves` k-d boxes per
+    side of the centered rows |x'| and |y'|, with the sides' _norms
+    (module docstring): A_row() <= max_i A_i <= A_box, A_row a cached
+    function and A_box None when the double evaluation overflows, and
+    rows(L) the row level's upper end for a rung that allows
+    max_i A_i <= L, None when its doubles overflow."""
     n = w.shape[0]
     K = min(n, leaves)
+    edges = np.arange(K + 1) * n // K
     order_x, lo_x, hi_x, a_pos = _leaf_boxes(X, xs[0], K, fm)
     order, lo_y, hi_y, c_pos = _leaf_boxes(Y, ys[0], K, fm)
-    W = np.add.reduceat(np.abs(w[order]), np.arange(K) * n // K)
+    W = np.add.reduceat(np.abs(w[order]), edges[:-1])
     u = Fraction(_EPS)
     head = 2 * Fraction(fm.shift) + xs[1] + ys[1]
     S = head + Fraction(float(a_pos.max())) + Fraction(float(c_pos.max()))
     head = _round_up(head + 2 * _gamma(fm.m + 5, u) * S)
-    gap_sq = np.zeros((K, K))
+    y_boxes = (lo_y, hi_y, c_pos + head, W)
+    per_leaf = _pair_sums(lo_x, hi_x, a_pos, y_boxes, fm)
+    top = int(per_leaf.argmax())
+    members = np.arange(n)[order_x]     # the rows in leaf order
+    box_scale = (1 - _gamma(n, u)) * (1 - _gamma(2 * fm.d + K + 1, u))
+    row_scale = 1 - _gamma(n + 2 * fm.d + 1, u)
+
+    @functools.cache
+    def A_row() -> Fraction:
+        i = members[edges[top]:edges[top] + 1]
+        row = float(_row_abs_sums(X[i], xs[0][i], Y, ys[0], w, fm, False)[0])
+        return Fraction(row) * row_scale if math.isfinite(row) else Fraction(0)
+
+    def rows(limit: Fraction) -> Fraction | None:
+        box_lim, row_lim = (_round_down(max(limit, 0) * scale)
+                            for scale in (box_scale, row_scale))
+        flagged = ~(per_leaf <= box_lim)
+        idx = members[np.repeat(flagged, np.diff(edges))]
+        x_abs = np.abs(X[idx])
+        a_rows = 2 * np.maximum(xs[0][idx] - fm.shift, 0.0)
+        boxed = np.concatenate([np.empty(0)] + [
+            _pair_sums(x_abs[c], x_abs[c], a_rows[c], y_boxes, fm)
+            for c in _chunks(len(idx), K, _CHUNK_BYTES)])
+        left = np.argsort(boxed)[::-1]  # largest first, NaN before all
+        left = left[~(boxed[left] <= box_lim)]
+        row = 0.0
+        for c in _chunks(len(left), n, _CHUNK_BYTES):
+            i = idx[left[c]]
+            sums = _row_abs_sums(X[i], xs[0][i], Y, ys[0], w, fm, up=True)
+            row = float(np.maximum(row, sums.max()))    # NaN stays
+            if not (sums <= row_lim).all():
+                left = left[:c.stop]
+                break
+        boxed[left] = 0.0  # each row's bound is the least one taken for it
+        box = float(np.concatenate([per_leaf[~flagged], boxed]).max(initial=0))
+        return max(Fraction(box) / box_scale, Fraction(row) / row_scale) \
+            if math.isfinite(box + row) else None
+
+    total = float(per_leaf[top])
+    return (A_row, Fraction(total) / box_scale if math.isfinite(total)
+            else None, rows)
+
+
+def _pair_sums(lo_x: np.ndarray, hi_x: np.ndarray, a_pos: np.ndarray,
+               y_boxes: tuple, fm: FeatureMap) -> np.ndarray:
+    """fl(sum_J W_J Q_abs(t_IJ)) per x box I (ranges lo_x, hi_x of |x'|
+    and a_pos = 2 a'_I+) against the y boxes (lo, hi, 2 c'_J+ plus the
+    raised head, W_J) (module docstring)."""
+    lo_y, hi_y, c_head, W = y_boxes
+    gap_sq = np.zeros((a_pos.shape[0], W.shape[0]))
     for lo_i, hi_i, lo_j, hi_j in zip(lo_x.T, hi_x.T, lo_y.T, hi_y.T):
         gap = np.maximum(lo_i[:, None] - hi_j, lo_j - hi_i[:, None])
         gap_sq += np.maximum(gap, 0.0) ** 2
-    per_leaf = _q_abs_fl((a_pos[:, None] + (c_pos + head)) - gap_sq, fm) @ W
-    top = int(per_leaf.argmax())
-    total = float(per_leaf[top])
-    if not math.isfinite(total):
-        return None
-    i = order_x[top * n // K] if K > 1 else 0
-    return (functools.cache(functools.partial(
-                _row_abs_lower, X[i], xs[0][i], Y, ys[0], w, fm)),
-            Fraction(total) / ((1 - _gamma(n, u))
-                               * (1 - _gamma(2 * fm.d + K + 1, u))))
+    return _q_abs_fl((a_pos[:, None] + c_head) - gap_sq, fm) @ W
 
 
 def _q_abs_fl(t: np.ndarray, fm: FeatureMap) -> np.ndarray:
@@ -772,41 +804,36 @@ def _q_abs_fl(t: np.ndarray, fm: FeatureMap) -> np.ndarray:
     return Q
 
 
-def _row_abs_lower(x: np.ndarray, x_sq: float, Y: np.ndarray,
-                   y_sq: np.ndarray, w: np.ndarray,
-                   fm: FeatureMap) -> Fraction:
-    """A lower bound on A_i for one centered row x with fl(||x||^2) =
-    x_sq, from the centered rows Y with fl(||y||^2) = y_sq (module
-    docstring); 0 when the doubles overflow."""
-    t = (np.abs(y_sq - fm.shift) + abs(x_sq - fm.shift)) \
-        + 2 * (np.abs(Y) @ np.abs(x))
-    t_max = float(t.max())
-    if not math.isfinite(t_max):
-        return Fraction(0)
-    u = Fraction(_EPS)
-    t = np.maximum(t - _round_up(_gamma(fm.m + 3, u) * Fraction(t_max)), 0.0)
-    row = float(_q_abs_fl(t, fm) @ np.abs(w))
-    if not math.isfinite(row):
-        return Fraction(0)
-    return Fraction(row) * (1 - _gamma(w.shape[0] + 2 * fm.d + 1, u))
+def _row_abs_sums(Xr: np.ndarray, xr_sq: np.ndarray, Y: np.ndarray,
+                  y_sq: np.ndarray, w: np.ndarray, fm: FeatureMap,
+                  up: bool) -> np.ndarray:
+    """fl(sum_n |w_n| Q_abs(t_n)) per centered row of Xr against the
+    centered rows Y, from fl(||p||^2) of each, with each row's arguments
+    raised (`up`) or lowered by gamma_{m+3} max t_n (module docstring)."""
+    t = (np.abs(y_sq - fm.shift) + np.abs(xr_sq - fm.shift)[:, None]) \
+        + 2 * (np.abs(Xr) @ np.abs(Y).T)
+    g = _round_up(_gamma(fm.m + 3, Fraction(_EPS)))
+    move = np.nextafter(t.max(axis=1, keepdims=True) * g, math.inf)
+    t = t + move if up else np.maximum(t - move, 0.0)
+    return _q_abs_fl(t, fm) @ np.abs(w)
 
 
 def _budget(inst: KdeInstance, xs: tuple, ys: tuple
             ) -> tuple[float, float, Fraction]:
     """(budget, shift_slack, w_lo): the float half of delta times ||w||_1
     rounded down, the allowance for the moved arguments times ||w||_1
-    rounded up (module docstring), and a lower bound on ||w||_1.
-    math.fsum rounds the exact ||w||_1 to nearest, so it is within a
-    factor 1 +- u of it."""
+    rounded up (module docstring), and a lower bound on ||w||_1, all
+    from the float sum of the |w_n| (module docstring)."""
     u = Fraction(_EPS)
     moved = 8 * inst.m * inst.B * u * (1 + 4 * u) + xs[1] + ys[1]
-    try:
-        w_fl = Fraction(math.fsum(np.abs(inst.w).tolist()))
-    except OverflowError:
-        raise DomainError("||w||_1 overflows double precision") from None
-    return (_round_down(inst.delta / 2 * (1 - u) * w_fl),
-            _round_up(moved * (1 + u) * w_fl),
-            (1 - u) * w_fl)
+    with np.errstate(over="ignore"):
+        s = float(np.abs(inst.w).sum())
+    if not math.isfinite(s):
+        raise DomainError("||w||_1 overflows double precision")
+    g = _gamma(inst.n - 1, u)
+    w_lo = Fraction(s) / (1 + g)
+    return (_round_down(inst.delta / 2 * w_lo),
+            _round_up(moved * Fraction(s) / (1 - g)), w_lo)
 
 
 def kde_matvec(inst: KdeInstance, fm: FeatureMap,
@@ -845,20 +872,17 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
               + _gamma(2 * sums, Fraction(_EPS_DD)))]
 
     t0 = time.perf_counter()
-    build_s = 0.0
-    found = {}      # source -> (lower, upper) of max_i A_i, None on overflow
+    level = functools.cache(functools.partial(     # leaves -> its bounds
+        _binned_abs_bound, inst.X, inst.Y, xs, ys, inst.w, fm))
     for use_high, g in {None: rungs, "plain": rungs[:1],
                         "high": rungs[1:]}[force]:
         bound = math.inf
-        for source in ("a-priori", "binned", "measured"):
-            if source not in found:     # at most once per call
-                t = time.perf_counter()
-                found[source] = _enclosure(source, inst, fm, xs, ys)
-                if source == "measured":
-                    build_s += time.perf_counter() - t
-            if found[source] is None:
+        for source in ("a-priori", "binned", "rows"):
+            lower, upper, rows = level(1 if source == "a-priori" else _BINS)
+            if source == "rows":    # at most once per rung
+                upper = rows((budget - slack) / g)
+            if upper is None:
                 continue
-            lower, upper = found[source]
             bound = _round_up(g * upper + slack)
             if bound <= budget or _round_up(g * lower() + slack) > budget:
                 break
@@ -870,12 +894,9 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
             f"bound {bound:g} exceeds the budget {budget:g}"
             + ("; drop force='plain'" if force == "plain" else ""))
 
-    del xs, ys, found  # the passes need no squared norms; free them first
-    if use_high:
-        v = _matvec_dd(inst, fm)
-    else:
-        v, feat_s = _matvec_plain(inst, fm)
-        build_s += feat_s
+    del xs, ys, level  # the passes need no squared norms; free them first
+    v, build_s = (_matvec_dd(inst, fm), 0.0) if use_high \
+        else _matvec_plain(inst, fm)
 
     rel_bound = _round_up(Fraction(bound) / w_lo) if w_lo > 0 else 0.0
     return KdeResult(v=v, M=fm.rank, elapsed_build=build_s,
@@ -883,29 +904,6 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
                      degree=fm.d, float_error_bound=rel_bound,
                      used_high_precision=use_high,
                      float_bound_source=source)
-
-
-def _enclosure(source: str, inst: KdeInstance, fm: FeatureMap, xs: tuple,
-               ys: tuple) -> tuple[Callable[[], Fraction], Fraction] | None:
-    """(lower, upper) of max_i A_i for a centered instance from one
-    level of the ladder (module docstring), the lower end a function that
-    is called only when the upper end misses; None when its doubles
-    overflow."""
-    if source != "measured":
-        return _binned_abs_bound(inst.X, inst.Y, xs, ys, inst.w, fm,
-                                 1 if source == "a-priori" else _BINS)
-    a = _abs_pass(inst, fm)
-    g = _gamma(gamma_ops(inst.n, fm), Fraction(_EPS))
-    return (lambda: Fraction(a) / (1 + g), Fraction(a) / (1 - g)) \
-        if math.isfinite(a) else None
-
-
-def _abs_pass(inst: KdeInstance, fm: FeatureMap) -> float:
-    """max_i fl(A_i) of a centered instance: the plain matvec of the
-    majorant, on |x'|, |y'|, |w| with the map's majorant."""
-    majorant = replace(inst, X=np.abs(inst.X), Y=np.abs(inst.Y),
-                       w=np.abs(inst.w))
-    return float(_matvec_plain(majorant, fm.majorant())[0].max())
 
 
 def _matvec_plain(inst: KdeInstance, fm: FeatureMap

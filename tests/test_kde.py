@@ -40,7 +40,6 @@ from expcheb.kde import (
 )
 from expcheb.kde import (
     _EPS,
-    _abs_pass,
     _binned_abs_bound,
     _dd_sum_tree,
     _gamma,
@@ -520,24 +519,13 @@ def _exact_abs_sum_max(inst, fm):
 
 def test_abs_sum_identity_matches_feature_map():
     # sum_r |Xmat_r(x)| |Ymat_r(y)| over |c_ijk| is
-    # Q_abs(|a'| + 2<|x|,|y|> + |c'|): the majorant's float rows reach it
-    # within gamma_N, each of their terms being nonnegative
+    # P_abs(||x||^2 + 2<|x|,|y|> + ||y||^2), exactly: with p's magnitudes
+    # as the polynomial, flipping y's sign turns each (-2)^j into 2^j
     spec = problem(Target.EXP_NEG, 4, "1e-3")
     fm = expand_kernel_poly(export_polynomial(spec, find_degree(spec)), 3)
-    q_abs = [abs(c) for c in fm.shifted]
     x = [Fraction(-3, 8), Fraction(5, 4), Fraction(1, 16)]
     y = [Fraction(7, 8), Fraction(-1, 2), Fraction(-9, 4)]
     ax, ay = [abs(v) for v in x], [abs(v) for v in y]
-    t = (abs(_shifted(ax, fm)) + 2 * sum(p * q for p, q in zip(ax, ay))
-         + abs(_shifted(ay, fm)))
-    want = sum(c * t ** k for k, c in enumerate(q_abs))
-    # B = 6 covers the pair's squared distance, 5.6
-    inst = make_instance([[float(v) for v in ax]], [[float(v) for v in ay]],
-                         [1.0], "1e-3", B=6)
-    Xmat, Ymat = build_feature_matrices(inst, fm.majorant())
-    got = Fraction(float(Xmat[0] @ Ymat[0]))
-    assert abs(got - want) <= _gamma(gamma_ops(1, fm), Fraction(_EPS)) * want
-    # and exactly: flipping y's sign turns each (-2)^j into 2^j
     p_abs = [abs(c) for c in fm.poly.monomial_form]
     fm_exact = expand_kernel_poly(_synthetic_poly(p_abs), 3)
     t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
@@ -643,15 +631,19 @@ def _ends_instance(n=1024, seed=1):
 
 
 def test_lower_bound_below_measured_abs_sum():
+    # A_row is at most the row level's upper end with every row refined:
+    # the raised row bound of each row against every row of Y
     for inst in (_ends_instance(), _escalate_instance()):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        abs_scale = 1.0 / (1.0 - _gamma(gamma_ops(inst.n, fm), _EPS))
-        measured = _abs_pass(centered, fm) * abs_scale
+        sums = kde_mod._row_abs_sums(centered.X, xs[0], centered.Y, ys[0],
+                                     centered.w, fm, up=True)
+        upper = Fraction(float(sums.max())) / (
+            1 - _gamma(inst.n + 2 * fm.d + 1, Fraction(_EPS)))
         for leaves in (1, kde_mod._BINS):
-            A_row, _ = _binned_abs_bound(centered.X, centered.Y, xs, ys,
-                                         centered.w, fm, leaves)
-            assert A_row() <= Fraction(measured)
+            A_row, _, _ = _binned_abs_bound(centered.X, centered.Y, xs, ys,
+                                            centered.w, fm, leaves)
+            assert A_row() <= upper
 
 
 def _straddle_instance():
@@ -684,7 +676,7 @@ def _binned_cases():
     # argument tight, and m = 8 (_bound_cases); the kde-escalate and _ends
     # shapes at small n; an m = 3 box; equal norms across leaf edges; the
     # triangle, whose positive a' the folded argument must cover; a
-    # constant kernel; an argument that rounds up
+    # constant kernel; an argument that rounds up, and one that rounds down
     yield from _bound_cases()
     for inst in (_escalate_instance(n=24), _ends_instance(n=24)):
         yield inst, kernel_map(inst.m, inst.B, inst.delta)[1]
@@ -696,8 +688,8 @@ def _binned_cases():
     yield _triangle_case()
     # p = 1, so no slack in the arguments moves either bound, and weights
     # whose float sum rounds below max_i A_i = 1 + 2^-54 (the gamma
-    # divisor of A_box must cover it) or above 1 + 2^-53 + 2^-60 (the
-    # gamma factor of A_row must)
+    # divisors of A_box and of the row level must cover it) or above
+    # 1 + 2^-53 + 2^-60 (the gamma factor of A_row must)
     for w in (2.0 ** -54, 2.0 ** -53 + 2.0 ** -60):
         yield (make_instance([[0.0], [0.5]], [[0.25], [0.0]], [1.0, w],
                              "1e-3", B=1),
@@ -715,6 +707,20 @@ def _binned_cases():
            expand_kernel_poly(_synthetic_poly(
                [math.comb(16, k) * Fraction(-1, 2) ** (16 - k)
                 for k in range(17)]), 5))
+    # the other way: n = 1, q(s) = s^10 and a float argument 2.7 u below
+    # the exact one, which q amplifies past the 1 - gamma_{2d+2} divisor
+    # of the row level unless the argument is raised first
+    x = [float.fromhex(h) for h in ("0x1.e4c9c16462136p-3",
+                                    "0x1.9da45ad34a55ep-3",
+                                    "0x1.abe4e28874868p-3",
+                                    "0x1.67c75bdacabf8p-3",
+                                    "0x1.897e2225a3834p-5",
+                                    "0x1.c348e8a879124p-3",
+                                    "0x1.55737cb041dd8p-3")]
+    yield (make_instance([x], [[-v for v in x]], [1.0], "1e-3", B=1),
+           expand_kernel_poly(_synthetic_poly(
+               [math.comb(10, k) * Fraction(-1, 2) ** (10 - k)
+                for k in range(11)]), 7))
 
 
 def test_binned_bound_encloses_exact_abs_sum():
@@ -725,16 +731,31 @@ def test_binned_bound_encloses_exact_abs_sum():
         exact = _exact_abs_sum_max(inst, fm)
         centered, xs, ys = _sides(inst, fm)
         for leaves in (kde_mod._BINS, 5, 2, 1):
-            A_row, A_box = _binned_abs_bound(centered.X, centered.Y, xs, ys,
-                                             centered.w, fm, leaves)
+            A_row, A_box, _ = _binned_abs_bound(centered.X, centered.Y, xs,
+                                                ys, centered.w, fm, leaves)
             assert A_row() <= exact <= A_box
     inst, fm = _triangle_case()
     assert (_sides(inst, fm)[1][0] > fm.shift).any()
 
 
+def test_row_level_encloses_exact_abs_sum():
+    # at the limit 0 every leaf is flagged and every row, in one chunk at
+    # these sizes, gets the raised row bound; at the exact maximum only
+    # the leaves and rows above it are refined, and at A_box none
+    for inst, fm in _binned_cases():
+        exact = _exact_abs_sum_max(inst, fm)
+        centered, xs, ys = _sides(inst, fm)
+        for leaves in (kde_mod._BINS, 5, 2, 1):
+            _, A_box, rows = _binned_abs_bound(centered.X, centered.Y, xs,
+                                               ys, centered.w, fm, leaves)
+            for limit in (Fraction(0), exact, A_box):
+                assert exact <= rows(limit)
+
+
 def _spy_rows(monkeypatch):
-    # each call is recorded with whether its feature map is the majorant:
-    # the real map has the negative pair scale (-2)^1 at j = 1, i = 0
+    # each call is recorded with whether its feature map has only
+    # nonnegative pair scales, as an absolute-value map would: the real
+    # map has the negative pair scale (-2)^1 at j = 1, i = 0
     calls = []
     for name in ("_x_rows", "_y_rows", "build_feature_matrices"):
         real = getattr(kde_mod, name)
@@ -760,8 +781,17 @@ def _undecided_at_one_leaf(monkeypatch):
     real = kde_mod._binned_abs_bound
     monkeypatch.setattr(
         kde_mod, "_binned_abs_bound",
-        lambda *args: (lambda: Fraction(0), Fraction(10 ** 400))
+        lambda *args: (lambda: Fraction(0), Fraction(10 ** 400), None)
         if args[-1] == 1 else real(*args))
+
+
+def _overflowing(real):
+    # the box bound with an upper end that overflows at every leaf count:
+    # the ladder skips both box levels and goes on to the row level
+    def box(*args):
+        A_row, _, rows = real(*args)
+        return A_row, None, rows
+    return box
 
 
 def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
@@ -782,7 +812,7 @@ def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
 def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
     # the one-leaf bound certifies plain doubles on the kde-escalate
     # shape; with that level undecided the binned bound does, with no
-    # majorant row, and v is bitwise the measured path's
+    # absolute-value row, and v is bitwise the row level's
     one_leaf = solve(_escalate_instance())
     assert one_leaf.float_bound_source == "a-priori"
     calls = _spy_rows(monkeypatch)
@@ -793,22 +823,23 @@ def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
     assert res.float_error_bound <= 1e-12 / 2
     assert calls and not any(majorant for _, majorant in calls)
     assert one_leaf.v.tobytes() == res.v.tobytes()
-    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
-    measured = solve(_escalate_instance())
-    assert measured.float_bound_source == "measured"
-    assert not measured.used_high_precision
-    assert measured.v.tobytes() == res.v.tobytes()
-    assert measured.float_error_bound <= res.float_error_bound
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound",
+                        _overflowing(kde_mod._binned_abs_bound))
+    rows = solve(_escalate_instance())
+    assert rows.float_bound_source == "rows"
+    assert not rows.used_high_precision
+    assert rows.v.tobytes() == res.v.tobytes()
+    assert rows.float_error_bound <= res.float_error_bound
 
 
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
     # both rungs build the same double rows: when the bounds alone choose
     # the compensated rung, its one pass builds each chunk once and no
-    # plain or majorant row is built.  The one-leaf bound decides
-    # _ends_instance: its A_row rules plain doubles out.  At
-    # delta = 2e-13 the kde-escalate shape needs the binned bound to rule
-    # them out, its A_row ruling out the absolute-value pass, and the
-    # one-leaf bound then certifies the compensated rung
+    # plain row is built.  The one-leaf bound decides _ends_instance: its
+    # A_row rules plain doubles out.  At delta = 2e-13 the kde-escalate
+    # shape needs the binned bound to rule them out, its A_row ruling out
+    # the row level, and the one-leaf bound then certifies the
+    # compensated rung
     for inst, leaves in ((_ends_instance(), [1]),
                          (_escalate_instance(delta="2e-13"),
                           [1, kde_mod._BINS])):
@@ -827,17 +858,18 @@ def test_escalate_shape_builds_no_plain_rows(monkeypatch):
 
 
 def test_a_priori_paths_match_the_measured_path(monkeypatch):
-    # with box bounds that overflow at both resolutions, the
-    # absolute-value pass picks the precision; v and the precision must not
-    # depend on which bound did
+    # with box bounds that overflow at both resolutions, the row level
+    # picks the precision; v and the precision must not depend on which
+    # bound did
     cases = [(_lowdim_instance(), False), (_ends_instance(), True)]
     fms = [kernel_map(inst.m, inst.B, inst.delta)[1] for inst, _ in cases]
     fast = [kde_matvec(inst, fm) for (inst, _), fm in zip(cases, fms)]
-    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound",
+                        _overflowing(kde_mod._binned_abs_bound))
     for (inst, high), fm, a in zip(cases, fms, fast):
         b = kde_matvec(inst, fm)
         assert a.float_bound_source == "a-priori"
-        assert b.float_bound_source == "measured"
+        assert b.float_bound_source == "rows"
         assert a.used_high_precision is b.used_high_precision is high
         assert a.v.tobytes() == b.v.tobytes()
         assert b.float_error_bound <= a.float_error_bound
@@ -861,12 +893,11 @@ def test_a_priori_paths_match_the_box_path(monkeypatch):
 
 
 def test_measured_bound_is_rounded_up(monkeypatch):
-    # on the measured path the reported bound is at least the exact
-    # g / (1 - gamma_N) fl(max_i A_i) + shift_slack over ||w||_1, with g
-    # the rung's coefficient;
-    # a bound summed in round-to-nearest doubles falls below it on 28 of
-    # these 80 runs
-    monkeypatch.setattr(kde_mod, "_binned_abs_bound", lambda *args: None)
+    # on the row level the reported bound is at least the exact
+    # g max_i A_i + shift_slack over w_lo, with g the rung's coefficient
+    # and max_i A_i from the exact oracle
+    monkeypatch.setattr(kde_mod, "_binned_abs_bound",
+                        _overflowing(kde_mod._binned_abs_bound))
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 40)), int(rng.integers(1, 3))
@@ -875,7 +906,7 @@ def test_measured_bound_is_rounded_up(monkeypatch):
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        abs_max = Fraction(_abs_pass(centered, fm))
+        abs_max = _exact_abs_sum_max(inst, fm)
         _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
@@ -886,8 +917,8 @@ def test_measured_bound_is_rounded_up(monkeypatch):
                          ("high", _gamma(2 * fm.d + 9, u) + _gamma(
                              2 * sums, Fraction(kde_mod._EPS_DD)))):
             res = kde_matvec(inst, fm, force=force)
-            assert res.float_bound_source == "measured"
-            exact = g * abs_max / (1 - _gamma(N, u)) + Fraction(shift_slack)
+            assert res.float_bound_source == "rows"
+            exact = g * abs_max + Fraction(shift_slack)
             assert Fraction(res.float_error_bound) >= exact / w_lo
 
 
@@ -904,8 +935,8 @@ def test_box_bound_is_rounded_up(monkeypatch):
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        _, A_box = real(centered.X, centered.Y, xs, ys, centered.w, fm,
-                        kde_mod._BINS)
+        _, A_box, _ = real(centered.X, centered.Y, xs, ys, centered.w, fm,
+                           kde_mod._BINS)
         _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
@@ -923,8 +954,7 @@ def test_box_bound_is_rounded_up(monkeypatch):
 
 def _wide_instance(n, seed, diameter_sq=249):
     # m = 2, delta = 1e-3 in a box of the given squared diameter; at 249
-    # the norm-binned bound missed both rungs and only a measured pass
-    # certified
+    # the norm-binned bound missed both rungs
     rng = np.random.default_rng(seed)
     side = math.sqrt(diameter_sq / 2)
     X = rng.uniform(0.0, side, (n, 2))
@@ -949,9 +979,27 @@ def test_wide_box_certifies_the_compensated_rung():
 
 def test_measured_pass_certifies_past_the_box_bound():
     # at squared diameter 255 (B estimated 253.2) the box bound misses the
-    # compensated budget and A_row does not rule it out; the measured pass
-    # certifies it, at 0.74 of the budget
-    _assert_wide_solve(_wide_instance(196, 1, diameter_sq=255), "measured")
+    # compensated budget and A_row does not rule it out; the row level
+    # certifies it, at 0.93 of the budget
+    _assert_wide_solve(_wide_instance(196, 1, diameter_sq=255), "rows")
+
+
+def test_concentric_shells_certify_through_the_row_level():
+    # X on the sphere of radius 2 and Y on radius 0.6 at m = 3, B the true
+    # squared diameter: the folded argument ignores the radial gap, so
+    # both box levels miss the compensated rung, and the row level
+    # certifies it
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((2, 1024, 3))
+    X = 2.0 * g[0] / np.linalg.norm(g[0], axis=1, keepdims=True)
+    Y = 0.6 * g[1] / np.linalg.norm(g[1], axis=1, keepdims=True)
+    inst = make_instance(X, Y, rng.standard_normal(1024), "2e-13", B="6.76")
+    res = solve(inst)
+    assert res.used_high_precision
+    assert res.float_bound_source == "rows"
+    assert res.float_error_bound <= 2e-13 / 2
+    gap = float(np.abs(res.v - kde_bruteforce(inst)).max())
+    assert gap <= 2e-13 * float(np.abs(inst.w).sum())
 
 
 def test_make_instance_refuses_B_below_the_cross_range():
@@ -1111,7 +1159,7 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
     exact = [sum(Fraction(wj) * oracles.kernel_poly_value(
         fm.poly.monomial_form, x, y) for y, wj in zip(ys, w)) for x in xs]
     w1 = sum(abs(Fraction(wj)) for wj in w)
-    undecided = (lambda: Fraction(0), Fraction(10 ** 400))
+    undecided = (lambda: Fraction(0), Fraction(10 ** 400), None)
     real = kde_mod._binned_abs_bound
     results = [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
     with mock.patch.object(kde_mod, "_binned_abs_bound",
@@ -1119,11 +1167,11 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
                            else real(*args)):
         results += [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
         with mock.patch.object(kde_mod, "_binned_abs_bound",
-                               lambda *args: None):
+                               _overflowing(real)):
             results += [kde_matvec(inst, fm),
                         kde_matvec(inst, fm, force="high")]
     assert {r.float_bound_source for r in results[2:4]} == {"binned"}
-    assert {r.float_bound_source for r in results[4:]} == {"measured"}
+    assert {r.float_bound_source for r in results[4:]} == {"rows"}
     for res in results:
         gap = max(abs(Fraction(float(v)) - e) for v, e in zip(res.v, exact))
         assert gap <= Fraction(res.float_error_bound) * w1
