@@ -241,12 +241,6 @@ class HPReal:
             return Fraction(m << exp)
         return Fraction(m, 1 << -exp)
 
-    def to_int_floor(self) -> int:
-        return libmp.to_int(self.raw, libmp.round_floor)
-
-    def to_int_ceil(self) -> int:
-        return libmp.to_int(self.raw, libmp.round_ceiling)
-
     def to_decimal(self, dps: int | None = None) -> str:
         if dps is None:
             dps = int(self.bits * 0.30103) + 2

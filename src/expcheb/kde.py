@@ -14,21 +14,21 @@ delta * ||w||_1 per entry, in O(n * R) arithmetic instead of n^2:
        c_ijk = q_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j,
 
    and b^j = sum_{|beta| = j} (j! / beta!) x^beta y^beta over the m
-   coordinates.  Feature r = (j, i, beta) has the x-side value
-   (j! / beta!) a'^i x^beta and the y-side value y^beta h_ij(c') with
-   h_ij(c') = sum_k c_ijk c'^k, so K ~ Xmat @ Ymat.T with rank
-   R = sum_j C(m+j-1, j) (d-j+1) = C(m+d+1, d);
-3. stream row chunks of Ymat (reduction s = Ymat.T @ w) and then of
-   Xmat (output v = Xmat @ s) through BLAS, never holding n x R.
+   coordinates.  With g_s(c') = sum_k c_{s,0,k} c'^k, exactly
+   c_ijk = (-2)^j C(i+j, i) c_{i+j,0,k}, so feature r = (j, i, beta) has
+   the x-side value a'^i x^beta, the y-side value y^beta g_{i+j}(c') (d + 1
+   Horner polynomials per row) and the integer column scale
+   kappa_r = (-2)^j C(i+j, i) j!/beta!: K ~ Xmat @ diag(kappa) @ Ymat.T,
+   of rank R = sum_j C(m+j-1, j) (d-j+1) = C(m+d+1, d);
+3. stream row chunks of Ymat (reduction s = Ymat.T @ w), scale s by
+   kappa, then stream Xmat's (output v = Xmat @ s) through BLAS, never
+   holding n x R.
 
-h_ij is evaluated as (-2)^j C(i+j, i) g_{i+j}(c') with
-g_s(c') = sum_k c_{s,0,k} c'^k, which is exact algebra
-(c_ijk = (-2)^j C(i+j, i) c_{i+j,0,k}), so only d + 1 Horner
-polynomials run per row.  The recentring is Higham's cure for an
-ill-conditioned sum (Accuracy and Stability of Numerical Algorithms,
-5.1): P_abs(t) = sum |p_k| t^k, p's sum in magnitudes, grows like e^t on
-[0, B], while q's coefficients are about e^-t0 (-1)^k / k!.  A nonzero
-table entry that is not a normal double raises SoundnessError.
+The recentring is Higham's cure for an ill-conditioned sum (Accuracy
+and Stability of Numerical Algorithms, 5.1): P_abs(t) = sum |p_k| t^k,
+p's sum in magnitudes, grows like e^t on [0, B], while q's coefficients
+are about e^-t0 (-1)^k / k!.  A nonzero table entry that is not a normal
+double raises SoundnessError.
 
 The contract max_i |v_i - v_i_exact| <= delta ||w||_1 holds when B bounds
 every squared x-y distance.  make_instance checks that once, at input,
@@ -45,17 +45,16 @@ Every elementary term T = c_ijk (j!/beta!) a'^i x^beta y^beta c'^k w_n
 reaches v_i through at most N roundings, each obeying the standard model
 fl(a op b) = (a op b)(1 + e), |e| <= u (Higham, 2.2):
 
-* x side: the weight j!/beta! as a double and its product (2), x^beta
-  (j - 1), a'^i (i - 1), one product (1): at most i + j + 3;
+* x side: x^beta (j - 1), a'^i (i - 1), one product (1): at most i + j + 1;
 * y side: the Horner coefficient as a double (1), Horner on g_s
-  (2k + 1), the scale (-2)^j C(i+j, i) as a double and its product (2),
-  y^beta (j - 1), one product (1): at most 2k + j + 5;
+  (2k + 1), y^beta (j - 1), one product (1): at most 2k + j + 3;
+* the scale kappa_r as a double and its product with s: 2;
 * reduction (one product, n - 1 sums) and output (R products and sums):
   n + R, in any summation order and any chunking.
 
-With i + j + k <= d the total is N = n + R + 2d + 8 (gamma_ops), so
-|v_i - fl(v_i)| <= gamma_N A_i, gamma_N = N u / (1 - N u), where
-A_i = sum_n |w_n| sum |T|.
+With i + j + k <= d that is at most n + R + 2d + 6; gamma_ops charges
+N = n + R + 2d + 8, a slack of 2, so |v_i - fl(v_i)| <= gamma_N A_i,
+gamma_N = N u / (1 - N u), where A_i = sum_n |w_n| sum |T|.
 
 kde_matvec centers the instance once, on the float midrange c of the
 pooled points (the kernel is translation-invariant).  x' = fl(x - c) is
@@ -77,12 +76,16 @@ budget delta/2 ||w||_1 is rounded down from a lower bound w_lo on
 
 The compensated rung keeps the same double rows and makes only the sums
 error-free or compensated (Ogita, Rump and Oishi, SISC 2005): exact
-products with w (two_prod), double-double sums (<= 3u^2 operand-wise),
-a product by the double-double s (<= 2u^2), one unit of 2^-104 = 4u^2
-each, then one rounding of the output to a double.  The rows and that
-rounding take gamma_{2d+9} at u, the sums gamma_{n+R} at 2^-104, and as
-gamma_{2d+9} <= 1 a second gamma_{n+R} covers their cross term, so its
-error is at most (gamma_{2d+9}(u) + gamma_{2(n+R)}(2^-104)) A_i.
+products with w (two_prod), double-double sums (<= 3u^2 operand-wise)
+and products of the double-double s by kappa and by the rows
+(<= 2u^2), one unit of 2^-104 = 4u^2 each, then one rounding of the
+output to a double.  The rows, kappa and that rounding take at most
+2d + 6 roundings at u, the rest at most b = n + R + 1 units of 2^-104;
+the cross term is at most gamma_b(2^-104) / 2 as gamma_{2d+6}(u) <= 1/2,
+and 3/2 gamma_b <= gamma_{2b-1} for b >= 2, so the error is at most
+(gamma_{2d+6}(u) + gamma_{2(n+R)+1}(2^-104)) A_i.  The rung charges
+gamma_{2d+9}(u) + gamma_{2(n+R)}(2^-104), whose 3 spare units of u cover
+the extra unit of 2^-104, below 2^-103 while (2(n+R)+1) 2^-104 <= 1/4.
 
 The precision is chosen before any feature row is built.  With
 |c_ijk| = |q_s| s! / (i! j! k!) 2^j for s = i + j + k, summing the terms
@@ -223,18 +226,18 @@ class FeatureMap:
     says that monomials dst..dst+count-1 are monomials src..src+count-1
     times coordinate var, their parent links in run-length form.  Column
     r = (j, i, beta) of the feature matrices runs over levels j, then
-    i = 0..d-j, then the level's monomials beta.  The tables factor
-    q(s) = p(s + 2 shift), and the rows subtract `shift` = t0/2 from the
-    squared norms.
+    i = 0..d-j, then the level's monomials beta; `scale` holds its
+    integer constant kappa_r, so K ~ Xmat @ diag(scale) @ Ymat.T.  The
+    tables factor q(s) = p(s + 2 shift), and the rows subtract `shift`
+    = t0/2 from the squared norms.
     """
     m: int
     d: int
     exponents: np.ndarray     # T x m exponent vectors beta, T = C(m+d, d)
     runs: np.ndarray          # parent links: rows (dst, src, count, var)
     level_starts: tuple[int, ...]  # first monomial of each degree, then T
-    weights: np.ndarray       # j! / beta! per monomial, as doubles
     horner: np.ndarray        # [s, k] = c_{s,0,k}, as doubles
-    pair_scale: np.ndarray    # [j, i] = (-2)^j C(i+j, i), zero for i > d-j
+    scale: np.ndarray         # kappa_r = (-2)^j C(i+j, i) j!/beta!, doubles
     poly: ExportedPolynomial
     shift: float              # t0/2, with t0 = 2 fl(B/4) ~ B/2
     shifted: tuple[Fraction, ...]  # q_k, exact: q(s) = p(s + t0)
@@ -411,16 +414,17 @@ def _shift_coefficients(p, t0: Fraction) -> tuple[Fraction, ...]:
     return tuple(q)
 
 
-def _exact_tables(q, exponents: np.ndarray, d: int):
-    """The feature map's tables, exact: weights j! / beta! per monomial,
-    Horner coefficients [s, k] = c_{s,0,k} = q_{s+k} C(s+k, s) and pair
-    scales [j, i] = (-2)^j C(i+j, i), zero for i > d-j."""
+def _exact_tables(q, exponents: np.ndarray, level_starts, d: int):
+    """The feature map's tables, exact: Horner coefficients
+    [s, k] = c_{s,0,k} = q_{s+k} C(s+k, s), and the column scales
+    kappa_r = (-2)^j C(i+j, i) j!/beta! in column order r = (j, i, beta)."""
     q = list(q) + [Fraction(0)] * (d + 1)
-    return ([_multinomial(b) for b in exponents],
-            [[q[s + k] * math.comb(s + k, s) for k in range(d + 1)]
+    weights = [_multinomial(b) for b in exponents]
+    return ([[q[s + k] * math.comb(s + k, s) for k in range(d + 1)]
              for s in range(d + 1)],
-            [[(-2) ** j * math.comb(i + j, i) if i + j <= d else 0
-              for i in range(d + 1)] for j in range(d + 1)])
+            [(-2) ** j * math.comb(i + j, i) * wt
+             for j in range(d + 1) for i in range(d - j + 1)
+             for wt in weights[level_starts[j]:level_starts[j + 1]]])
 
 
 def _normal_doubles(table) -> np.ndarray:
@@ -443,9 +447,9 @@ def expand_kernel_poly(poly: ExportedPolynomial, m: int) -> FeatureMap:
     b = <x, y> and c' = ||y||^2 - t0/2, with q(s) = p(s + t0) and
     t0 = 2 fl(B/4) for p's domain [0, B].
 
-    The Horner coefficients c_{s,0,k} and pair scales come from q, shifted
-    exactly from p's dyadic monomial form; the monomials over the m
-    coordinates carry parent pointers for incremental evaluation.
+    The Horner coefficients c_{s,0,k} come from q, shifted exactly from
+    p's dyadic monomial form; the monomials over the m coordinates carry
+    parent pointers for incremental evaluation.
     """
     if m < 1:
         raise DomainError("m must be positive")
@@ -458,35 +462,10 @@ def expand_kernel_poly(poly: ExportedPolynomial, m: int) -> FeatureMap:
     shift = float(poly.domain_B.to_fraction() / 4)
     shifted = _shift_coefficients(poly.monomial_form, 2 * Fraction(shift))
     exponents, runs, level_starts = _monomial_tree(m, d)
-    weights, horner, pair_scale = (
-        _normal_doubles(t) for t in _exact_tables(shifted, exponents, d))
-    return FeatureMap(m, d, exponents, runs, level_starts, weights, horner,
-                      pair_scale, poly, shift, shifted)
-
-
-def reconstruct_feature_value(fm: FeatureMap, x, y) -> Fraction:
-    """Exact sum_r Xmat_r(x) Ymat_r(y) of the map at one (x, y) pair, with
-    a' = ||x||^2 - t0/2 and c' = ||y||^2 - t0/2 exact and
-    c_ijk = q_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j taken from q itself."""
-    xs = [Fraction(v) for v in x]
-    ys = [Fraction(v) for v in y]
-    a = sum(v * v for v in xs) - Fraction(fm.shift)
-    c = sum(v * v for v in ys) - Fraction(fm.shift)
-    d = fm.d
-    q = list(fm.shifted) + [Fraction(0)] * (d + 1)
-    total = Fraction(0)
-    for beta in fm.exponents:
-        j = int(beta.sum())
-        xb = Fraction(_multinomial(beta))
-        yb = Fraction(1)
-        for xv, yv, e in zip(xs, ys, beta):
-            xb *= xv ** int(e)
-            yb *= yv ** int(e)
-        for i in range(d - j + 1):
-            h = sum(q[i + j + k] * _multinomial((i, j, k)) * (-2) ** j
-                    * c ** k for k in range(d - i - j + 1))
-            total += (xb * a ** i) * (yb * h)
-    return total
+    horner, scale = (_normal_doubles(t) for t in
+                     _exact_tables(shifted, exponents, level_starts, d))
+    return FeatureMap(m, d, exponents, runs, level_starts, horner, scale,
+                      poly, shift, shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +482,6 @@ def _monomial_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
     return out
 
 
-def _level_blocks(fm: FeatureMap, out: np.ndarray):
-    """(j, monomial slice, view of out as rows x (d-j+1) x C_j)."""
-    col = 0
-    for j in range(fm.d + 1):
-        s, e = fm.level_starts[j], fm.level_starts[j + 1]
-        width = (e - s) * (fm.d - j + 1)
-        yield j, slice(s, e), out[:, col:col + width].reshape(
-            out.shape[0], fm.d - j + 1, e - s)
-        col += width
-
-
 def _norm_sq(P: np.ndarray) -> np.ndarray:
     """fl(||p||^2) per row, summed in coordinate order, so that a chunk of
     rows gets the same doubles as the whole."""
@@ -523,34 +491,42 @@ def _norm_sq(P: np.ndarray) -> np.ndarray:
     return s
 
 
-def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    """Xmat rows: (j! / beta!) a'^i x^beta."""
+def _level_fill(P: np.ndarray, side: np.ndarray, fm: FeatureMap,
+                lag: int) -> np.ndarray:
+    """Feature rows row[(j, i, beta)] = p^beta side[:, lag j + i]: the
+    monomials of the rows P times one side's values per column."""
     mono = _monomial_rows(P, fm)
-    mono *= fm.weights
+    out = np.empty((P.shape[0], fm.rank))
+    col = 0
+    for j in range(fm.d + 1):
+        s, e = fm.level_starts[j], fm.level_starts[j + 1]
+        width = fm.d - j + 1
+        view = out[:, col:col + width * (e - s)].reshape(
+            out.shape[0], width, e - s)
+        np.multiply(mono[:, None, s:e],
+                    side[:, lag * j:lag * j + width, None], out=view)
+        col += width * (e - s)
+    return out
+
+
+def _x_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
+    """Xmat rows: a'^i x^beta, from the powers of a'."""
     apow = np.empty((P.shape[0], fm.d + 1))
     apow[:, 0] = 1.0
     apow[:, 1] = _norm_sq(P) - fm.shift     # a'
     for i in range(2, fm.d + 1):
         np.multiply(apow[:, i - 1], apow[:, 1], out=apow[:, i])
-    out = np.empty((P.shape[0], fm.rank))
-    for j, sl, view in _level_blocks(fm, out):
-        np.multiply(mono[:, None, sl], apow[:, :fm.d - j + 1, None], out=view)
-    return out
+    return _level_fill(P, apow, fm, 0)
 
 
 def _y_rows(P: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    """Ymat rows: y^beta h_ij(c')."""
-    mono = _monomial_rows(P, fm)
+    """Ymat rows: y^beta g_{i+j}(c'), from the d + 1 Horner values."""
     c = (_norm_sq(P) - fm.shift)[:, None]   # c'
     g = np.zeros((P.shape[0], fm.d + 1))
     for k in range(fm.d, -1, -1):
         g *= c
         g += fm.horner[:, k]
-    out = np.empty((P.shape[0], fm.rank))
-    for j, sl, view in _level_blocks(fm, out):
-        h = g[:, j:] * fm.pair_scale[j, :fm.d - j + 1]
-        np.multiply(mono[:, None, sl], h[:, :, None], out=view)
-    return out
+    return _level_fill(P, g, fm, 1)
 
 
 def build_feature_matrices(inst: KdeInstance, fm: FeatureMap,
@@ -559,9 +535,9 @@ def build_feature_matrices(inst: KdeInstance, fm: FeatureMap,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows of the points X[x_rows] and Y[y_rows] in float64.
 
-    Row i of Xmat holds (j! / beta!) a'^i x^beta and row j of Ymat holds
-    y^beta h_ij(c') over the columns r = (j, i, beta), so
-    K[x_rows, y_rows] ~ Xmat @ Ymat.T.
+    Row i of Xmat holds a'^i x^beta and row j of Ymat holds
+    y^beta g_{i+j}(c') over the columns r = (j, i, beta), so
+    K[x_rows, y_rows] ~ Xmat @ diag(fm.scale) @ Ymat.T.
     """
     Xp, Yp = inst.X[x_rows], inst.Y[y_rows]
     bytes_needed = (Xp.shape[0] + Yp.shape[0]) * fm.rank * 8
@@ -865,8 +841,8 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
     slack = Fraction(shift_slack)
     u = Fraction(_EPS)
     sums = inst.n + fm.rank
-    # plain: gamma_N at u; compensated: the rows' roundings and the final
-    # one at u, and 2 (n + R) units of 2^-104 for the sums
+    # plain: gamma_N at u; compensated: 2d + 9 roundings at u and
+    # 2 (n + R) units of 2^-104 (the module docstring gives the slack)
     rungs = [(False, _gamma(N, u)),
              (True, _gamma(N - sums + 1, u)
               + _gamma(2 * sums, Fraction(_EPS_DD)))]
@@ -920,6 +896,7 @@ def _matvec_plain(inst: KdeInstance, fm: FeatureMap
         feat_s += time.perf_counter() - t
         svec += Yc.T @ inst.w[rows]
         del Yc
+    svec *= fm.scale
     parts = []
     for rows in chunks:
         t = time.perf_counter()
@@ -932,7 +909,8 @@ def _matvec_plain(inst: KdeInstance, fm: FeatureMap
 
 def _matvec_dd(inst: KdeInstance, fm: FeatureMap) -> np.ndarray:
     """The plain double rows with error-free products by w, double-double
-    reduction and output sums, and a double-double product by s."""
+    reduction and output sums, and double-double products by the column
+    scales and by s."""
     empty = slice(0, 0)
     chunks = _chunks(inst.n, fm.rank, _DD_CHUNK_BYTES)
     sh = np.zeros(fm.rank)
@@ -942,6 +920,7 @@ def _matvec_dd(inst: KdeInstance, fm: FeatureMap) -> np.ndarray:
         ph, pl = _dd_sum_tree(*_two_prod(Yc, inst.w[rows, None]))
         del Yc
         sh, sl = _dd_add(sh, sl, ph, pl)
+    sh, sl = _dd_mul(sh, sl, fm.scale, 0.0)
     parts = []
     for rows in chunks:
         Xc, _ = build_feature_matrices(inst, fm, rows, empty)

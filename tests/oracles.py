@@ -15,6 +15,7 @@ certificate is at least the error it claims to bound.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -124,6 +125,40 @@ def kernel_poly_value(coeffs, x, y) -> Fraction:
     for c in reversed([Fraction(c) for c in coeffs]):
         acc = acc * q + c
     return acc
+
+
+def _multinomial(exps) -> int:
+    out = math.factorial(sum(exps))
+    for e in exps:
+        out //= math.factorial(e)
+    return out
+
+
+def reconstruct_feature_value(fm, x, y) -> Fraction:
+    """Exact sum_r kappa_r Xmat_r(x) Ymat_r(y) of a kde feature map at one
+    (x, y) pair, from q: with a' = ||x||^2 - t0/2 and c' = ||y||^2 - t0/2
+    exact, each column r = (j, i, beta) adds
+    (j!/beta!) a'^i x^beta y^beta sum_k c_ijk c'^k, with
+    c_ijk = q_{i+j+k} (i+j+k)! / (i! j! k!) (-2)^j taken from q itself."""
+    xs = [Fraction(v) for v in x]
+    ys = [Fraction(v) for v in y]
+    a = sum(v * v for v in xs) - Fraction(fm.shift)
+    c = sum(v * v for v in ys) - Fraction(fm.shift)
+    d = fm.d
+    q = list(fm.shifted) + [Fraction(0)] * (d + 1)
+    total = Fraction(0)
+    for beta in fm.exponents.tolist():
+        j = sum(beta)
+        xb = Fraction(_multinomial(beta))
+        yb = Fraction(1)
+        for xv, yv, e in zip(xs, ys, beta):
+            xb *= xv ** e
+            yb *= yv ** e
+        for i in range(d - j + 1):
+            h = sum(q[i + j + k] * _multinomial((i, j, k)) * (-2) ** j
+                    * c ** k for k in range(d - i - j + 1))
+            total += (xb * a ** i) * (yb * h)
+    return total
 
 
 def eval_monomial(coeffs: Sequence[Fraction], z: HPReal,

@@ -35,7 +35,6 @@ from expcheb.kde import (
     kernel_map,
     make_instance,
     measured_diameter_sq,
-    reconstruct_feature_value,
     solve,
 )
 from expcheb.kde import (
@@ -99,7 +98,9 @@ def test_feature_count_and_enumeration_order():
     assert Xmat[0].tolist() == [1.0, a, a * a,      # j=0: i=0..2
                                 2.0, 3.0,           # j=1, i=0: x1, x2
                                 2.0 * a, 3.0 * a,   # j=1, i=1
-                                4.0, 2 * 6.0, 9.0]  # j=2: x1^2, 2 x1x2, x2^2
+                                4.0, 6.0, 9.0]      # j=2: x1^2, x1x2, x2^2
+    # kappa_r = (-2)^j C(i+j, i) j!/beta! in the same column order
+    assert fm.scale.tolist() == [1, 1, 1, -2, -2, -4, -4, 4, 8, 4]
 
 
 def test_capacity_error_carries_count():
@@ -167,10 +168,10 @@ def test_estimate_dominates_measured_diameter():
 
 
 def _table_coefs(fm):
-    """The nonzero c_ijk = pair_scale[j, i] horner[i + j, k] of the float
-    tables."""
+    """The nonzero c_ijk = (-2)^j C(i+j, i) horner[i + j, k] of the float
+    Horner table."""
     d = fm.d
-    coefs = {(i, j, k): fm.pair_scale[j, i] * fm.horner[i + j, k]
+    coefs = {(i, j, k): (-2) ** j * math.comb(i + j, i) * fm.horner[i + j, k]
              for i in range(d + 1) for j in range(d + 1 - i)
              for k in range(d + 1 - i - j)}
     return {key: c for key, c in coefs.items() if c != 0}
@@ -199,7 +200,7 @@ def test_expand_square_matches_exact_reference():
            ((Fraction(0), Fraction(2)), (Fraction(-1, 7), Fraction(1, 9)))]
     for x, y in pts:
         want = oracles.kernel_poly_value(mono, x, y)
-        got = reconstruct_feature_value(fm, x, y)
+        got = oracles.reconstruct_feature_value(fm, x, y)
         assert got == want
 
 
@@ -213,7 +214,7 @@ def test_expand_real_polynomial_exact():
         x = tuple(Fraction(rng.randrange(-8, 9), 8) for _ in range(2))
         y = tuple(Fraction(rng.randrange(-8, 9), 8) for _ in range(2))
         want = oracles.kernel_poly_value(poly.monomial_form, x, y)
-        assert reconstruct_feature_value(fm, x, y) == want
+        assert oracles.reconstruct_feature_value(fm, x, y) == want
 
 
 def test_recentred_map_reproduces_p_exactly():
@@ -232,7 +233,7 @@ def test_recentred_map_reproduces_p_exactly():
         for _ in range(3):
             x = tuple(Fraction(rng.randrange(-64, 65), 32) for _ in range(m))
             y = tuple(Fraction(rng.randrange(-64, 65), 32) for _ in range(m))
-            assert reconstruct_feature_value(fm, x, y) \
+            assert oracles.reconstruct_feature_value(fm, x, y) \
                 == oracles.kernel_poly_value(p, x, y)
 
 
@@ -278,7 +279,7 @@ def test_feature_matrices_reproduce_kernel_values():
     Y = np.array([[0.5, 0.25], [-0.25, 0.0], [0.375, -0.625]])
     inst = make_instance(X, Y, np.ones(3), "1e-4", B=4)
     Xmat, Ymat = build_feature_matrices(inst, fm)
-    K = Xmat @ Ymat.T
+    K = (Xmat * fm.scale) @ Ymat.T
     for i in range(3):
         for j in range(3):
             want = float(oracles.kernel_poly_value(
@@ -294,24 +295,27 @@ def test_float_tables_factor_the_coefficients():
     fm = expand_kernel_poly(poly, 3)
     d = fm.d
     q = fm.shifted
-    for i in range(d + 1):
-        for j in range(d + 1 - i):
-            scale = (-2) ** j * math.comb(i + j, i)
-            assert fm.pair_scale[j, i] == scale
-            for k in range(d + 1 - i - j):
-                s = i + j + k
-                horner = q[s] * math.comb(s, i + j)
-                assert fm.horner[i + j, k] == float(horner)
-                # c_ijk = q_s s! / (i! j! k!) (-2)^j factors exactly
-                mult = math.factorial(s) // (math.factorial(i)
-                                             * math.factorial(j)
-                                             * math.factorial(k))
-                assert scale * horner == q[s] * mult * (-2) ** j
-    for beta, wt in zip(fm.exponents, fm.weights):
-        want = math.factorial(int(beta.sum()))
-        for e in beta:
-            want //= math.factorial(int(e))
-        assert wt == want
+    columns = iter(fm.scale.tolist())
+    for j in range(d + 1):
+        level = fm.exponents[fm.level_starts[j]:fm.level_starts[j + 1]]
+        for i in range(d + 1 - j):
+            for beta in level.tolist():
+                weight = math.factorial(j)
+                for e in beta:
+                    weight //= math.factorial(e)
+                # kappa_r = (-2)^j C(i+j, i) j!/beta!, rounded once
+                kappa = (-2) ** j * math.comb(i + j, i) * weight
+                assert next(columns) == float(kappa)
+                for k in range(d + 1 - i - j):
+                    s = i + j + k
+                    horner = q[s] * math.comb(s, i + j)
+                    assert fm.horner[i + j, k] == float(horner)
+                    # kappa_r c_{i+j,0,k} = c_ijk j!/beta!, exactly
+                    mult = math.factorial(s) // (math.factorial(i)
+                                                 * math.factorial(j)
+                                                 * math.factorial(k))
+                    assert kappa * horner == q[s] * mult * (-2) ** j * weight
+    assert next(columns, None) is None
 
 
 def test_float_bound_encloses_exact_polynomial_sum():
@@ -497,9 +501,9 @@ def _shifted(row, fm):
     return Fraction(s - fm.shift)
 
 
-def _exact_abs_sum_max(inst, fm):
-    """max_i A_i in exact rationals from |q_k|, |x'_i|, |y'_n| and the rows'
-    |a'_i| and |c'_n|."""
+def _exact_abs_sums(inst, fm):
+    """A_i per row in exact rationals from |q_k|, |x'_i|, |y'_n| and the
+    rows' |a'_i| and |c'_n|."""
     Xp, Yp = _centered(inst)
     xs = [[abs(Fraction(float(v))) for v in row] for row in Xp]
     ys = [[abs(Fraction(float(v))) for v in row] for row in Yp]
@@ -512,9 +516,9 @@ def _exact_abs_sum_max(inst, fm):
         for c in reversed(q_abs):
             acc = acc * t + c
         return acc
-    return max(sum(abs(Fraction(float(wn))) * Q_abs(
+    return [sum(abs(Fraction(float(wn))) * Q_abs(
         a + 2 * sum(p * q for p, q in zip(x, y)) + c)
-        for y, c, wn in zip(ys, c_abs, inst.w)) for x, a in zip(xs, a_abs))
+        for y, c, wn in zip(ys, c_abs, inst.w)) for x, a in zip(xs, a_abs)]
 
 
 def test_abs_sum_identity_matches_feature_map():
@@ -530,7 +534,7 @@ def test_abs_sum_identity_matches_feature_map():
     fm_exact = expand_kernel_poly(_synthetic_poly(p_abs), 3)
     t = (sum(v * v for v in ax) + 2 * sum(p * q for p, q in zip(ax, ay))
          + sum(q * q for q in ay))
-    assert reconstruct_feature_value(fm_exact, ax, [-v for v in ay]) \
+    assert oracles.reconstruct_feature_value(fm_exact, ax, [-v for v in ay]) \
         == sum(c * t ** k for k, c in enumerate(p_abs))
 
 
@@ -728,7 +732,7 @@ def test_binned_bound_encloses_exact_abs_sum():
     # 5 and 2 leaves put several points, and equal norms, in one leaf, and
     # one leaf holds every point
     for inst, fm in _binned_cases():
-        exact = _exact_abs_sum_max(inst, fm)
+        exact = max(_exact_abs_sums(inst, fm))
         centered, xs, ys = _sides(inst, fm)
         for leaves in (kde_mod._BINS, 5, 2, 1):
             A_row, A_box, _ = _binned_abs_bound(centered.X, centered.Y, xs,
@@ -743,7 +747,7 @@ def test_row_level_encloses_exact_abs_sum():
     # these sizes, gets the raised row bound; at the exact maximum only
     # the leaves and rows above it are refined, and at A_box none
     for inst, fm in _binned_cases():
-        exact = _exact_abs_sum_max(inst, fm)
+        exact = max(_exact_abs_sums(inst, fm))
         centered, xs, ys = _sides(inst, fm)
         for leaves in (kde_mod._BINS, 5, 2, 1):
             _, A_box, rows = _binned_abs_bound(centered.X, centered.Y, xs,
@@ -753,15 +757,13 @@ def test_row_level_encloses_exact_abs_sum():
 
 
 def _spy_rows(monkeypatch):
-    # each call is recorded with whether its feature map has only
-    # nonnegative pair scales, as an absolute-value map would: the real
-    # map has the negative pair scale (-2)^1 at j = 1, i = 0
+    # the name of each row builder called
     calls = []
     for name in ("_x_rows", "_y_rows", "build_feature_matrices"):
         real = getattr(kde_mod, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
-            calls.append((_name, bool((args[1].pair_scale >= 0).all())))
+            calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(kde_mod, name, spy)
     return calls
@@ -794,7 +796,7 @@ def _overflowing(real):
     return box
 
 
-def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
+def test_lowdim_shape_certifies_at_one_leaf(monkeypatch):
     # the one-leaf box bound decides the kde-lowdim shape: no row is
     # sorted and the binned bound is never computed
     calls, boxes = _spy_rows(monkeypatch), _spy_box(monkeypatch)
@@ -805,14 +807,14 @@ def test_lowdim_shape_skips_the_absolute_value_pass(monkeypatch):
     res = solve(_lowdim_instance())
     assert not res.used_high_precision
     assert res.float_bound_source == "a-priori"
-    assert calls and not any(majorant for _, majorant in calls)
+    assert calls
     assert boxes == [1] and not sorts
 
 
 def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
     # the one-leaf bound certifies plain doubles on the kde-escalate
-    # shape; with that level undecided the binned bound does, with no
-    # absolute-value row, and v is bitwise the row level's
+    # shape; with that level undecided the binned bound does, and v is
+    # bitwise the row level's
     one_leaf = solve(_escalate_instance())
     assert one_leaf.float_bound_source == "a-priori"
     calls = _spy_rows(monkeypatch)
@@ -821,7 +823,7 @@ def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
     assert res.float_bound_source == "binned"
     assert not res.used_high_precision
     assert res.float_error_bound <= 1e-12 / 2
-    assert calls and not any(majorant for _, majorant in calls)
+    assert calls
     assert one_leaf.v.tobytes() == res.v.tobytes()
     monkeypatch.setattr(kde_mod, "_binned_abs_bound",
                         _overflowing(kde_mod._binned_abs_bound))
@@ -850,14 +852,12 @@ def test_escalate_shape_builds_no_plain_rows(monkeypatch):
         assert res.float_bound_source == "a-priori"
         assert boxes == leaves
         chunks = kde_mod._chunks(inst.n, fm.rank, kde_mod._DD_CHUNK_BYTES)
-        assert not any(majorant for _, majorant in calls)
-        assert [name for name, _ in calls].count("build_feature_matrices") \
-            == 2 * len(chunks)
+        assert calls.count("build_feature_matrices") == 2 * len(chunks)
         assert res.elapsed_build == 0
         assert res.float_error_bound <= 2e-13 / 2
 
 
-def test_a_priori_paths_match_the_measured_path(monkeypatch):
+def test_a_priori_paths_match_the_row_level(monkeypatch):
     # with box bounds that overflow at both resolutions, the row level
     # picks the precision; v and the precision must not depend on which
     # bound did
@@ -892,7 +892,7 @@ def test_a_priori_paths_match_the_box_path(monkeypatch):
         assert b.float_error_bound <= a.float_error_bound
 
 
-def test_measured_bound_is_rounded_up(monkeypatch):
+def test_row_level_bound_is_rounded_up(monkeypatch):
     # on the row level the reported bound is at least the exact
     # g max_i A_i + shift_slack over w_lo, with g the rung's coefficient
     # and max_i A_i from the exact oracle
@@ -906,7 +906,7 @@ def test_measured_bound_is_rounded_up(monkeypatch):
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        abs_max = _exact_abs_sum_max(inst, fm)
+        abs_max = max(_exact_abs_sums(inst, fm))
         _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
@@ -977,7 +977,7 @@ def test_wide_box_certifies_the_compensated_rung():
         _assert_wide_solve(_wide_instance(n, seed), "binned")
 
 
-def test_measured_pass_certifies_past_the_box_bound():
+def test_row_level_certifies_past_the_box_bound():
     # at squared diameter 255 (B estimated 253.2) the box bound misses the
     # compensated budget and A_row does not rule it out; the row level
     # certifies it, at 0.93 of the budget
@@ -1175,6 +1175,33 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
     for res in results:
         gap = max(abs(Fraction(float(v)) - e) for v, e in zip(res.v, exact))
         assert gap <= Fraction(res.float_error_bound) * w1
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(_dyadic_instances())
+def test_each_rung_meets_its_rounding_count_per_row(case):
+    # the module docstring's count for one term's path: n + R + 2d + 6
+    # roundings on the plain rung; 2d + 6 at u and 2 (n + R) + 1 units of
+    # 2^-104 on the compensated one.  Each row's gap to the exact sum is
+    # within that coefficient times its own A_i, plus shift_slack
+    X, Y, w = case
+    fm = _property_map(X.shape[1])
+    inst = make_instance(X, Y, w, "1e-6", B=9)
+    xs = [[Fraction(v) for v in row] for row in X]
+    ys = [[Fraction(v) for v in row] for row in Y]
+    exact = [sum(Fraction(wj) * oracles.kernel_poly_value(
+        fm.poly.monomial_form, x, y) for y, wj in zip(ys, w)) for x in xs]
+    A = _exact_abs_sums(inst, fm)
+    centered, xn, yn = _sides(inst, fm)
+    slack = Fraction(kde_mod._budget(centered, xn, yn)[1])
+    u, sums = Fraction(_EPS), inst.n + fm.rank
+    for v, g in ((kde_mod._matvec_plain(centered, fm)[0],
+                  _gamma(sums + 2 * fm.d + 6, u)),
+                 (kde_mod._matvec_dd(centered, fm),
+                  _gamma(2 * fm.d + 6, u)
+                  + _gamma(2 * sums + 1, Fraction(kde_mod._EPS_DD)))):
+        for vi, e, a in zip(v.tolist(), exact, A):
+            assert abs(Fraction(vi) - e) <= g * a + slack
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 8, 9])
