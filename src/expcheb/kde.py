@@ -33,11 +33,13 @@ double raises SoundnessError.
 The contract max_i |v_i - v_i_exact| <= delta ||w||_1 holds when B bounds
 every squared x-y distance.  make_instance checks that once, at input,
 in O(nm): an estimated B sums the pooled squared ranges exactly and
-rounds up, and a given B below max_l max(maxX_l - minY_l,
-maxY_l - minX_l)^2, computed exactly (the squared diameter itself when
-m = 1), is refused with DomainError.  For m >= 2 a given B between that
-bound and the true squared diameter passes; measured_diameter_sq is the
-O(n^2 m) diagnostic for it, which `expcheb kde --validate` reports.
+rounds up, and a given B is refused with DomainError below the larger of
+max_l max(maxX_l - minY_l, maxY_l - minX_l)^2 (the squared diameter
+itself when m = 1) and the squared distance of one pair, picked in
+doubles (the y farthest from X's midrange, then the x farthest from that
+y) and computed exactly.  For m >= 2 a given B between that floor and
+the true squared diameter passes; measured_diameter_sq is the O(n^2 m)
+diagnostic for it, which `expcheb kde --validate` reports.
 
 Floating-point error is charged against the remaining delta/2 budget.
 The rows take a' = fl(fl(||x'||^2) - t0/2) and c' likewise as data.
@@ -137,35 +139,34 @@ J K_y - 1, all on nonnegative operands, so
 
 in O(n log n log K + K^2 (m + d)) in all, and O(n (m + d)) at K = 1.
 
-One row x' against every row of Y bounds its A_i both ways.  Its
-arguments t_n take m + 2 roundings on nonnegative operands; a move by
-gamma_{m+3} max t_n, rounded up, covers them and its own, so lowered
-(clamped at 0) they are at most the exact ones and raised at least.
-Horner on the doubles of |q_k| (each within 1 +- u of |q_k|) takes 2d
-roundings, the product by |w_n| 1 and the sum over n n - 1, so
+With one-point boxes the lemma bounds single rows: row i of X as its own
+box (lo = hi = |x'_i|, its own a') against each row of Y as its own
+(lo = hi = |y'_n|, its own c', W = |w_n|) has the argument t_in of
+the fold above, with the same raised head, and K_y = n:
 
-    fl(sum_n |w_n| Q_abs(t_n lowered)) (1 - gamma_{n + 2d + 1}) <= A_i
-        <= fl(sum_n |w_n| Q_abs(t_n raised)) / (1 - gamma_{n + 2d + 1}),
+    A_i <= fl(sum_n |w_n| Q_abs(t_in))
+           / ((1 - gamma_n) (1 - gamma_{2d + n + 1})),
 
-in O(n (m + d)) per row.  A_row is the first, for the first row of the
-leaf where the box sum peaks.  For a rung that allows max_i A_i <= L,
-the row level flags the _BINS x-leaves whose box sum is above L or
-overflows, takes each of their rows as its own box (lo = hi = |x'_i|,
-its own a') against the same y leaves, and gives the rows still above L
-the raised bound, largest box sum first, in chunks up to the first that
-misses.  Its upper end is the largest, over the rows, of the least bound
-taken for each.
+in O(n (m + d)) per row.  For a rung that allows max_i A_i <= L, the row
+level flags the _BINS x-leaves whose box sum is above L or overflows,
+takes each of their rows as its own box against the same y leaves, and
+gives the rows still above L the one-point bound against every row of Y:
+largest box sum first, in chunks of 1, 2, 4, ... rows up to _CHUNK_BYTES
+of arguments, up to the first chunk that misses.  Its upper end is the
+largest, over the rows, of the least bound taken for each; a row level
+that flags no leaf has the upper end A_box at _BINS leaves.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
 and then the compensated rung.  A rung bounds the error by its
-coefficient times A plus shift_slack, rounded up.  It tries [A_row, A_box]
-at one leaf per side ("a-priori"), the same at _BINS leaves ("binned"),
-then the row level with that A_row ("rows"), each box level computed at
-most once per call.  It is certified at the first upper end that meets
-its budget and given up at the first lower end that misses it (every
-upper end is at least max_i A_i); a lower end is computed only when its
-upper end misses, and an enclosure whose doubles overflow is skipped.
-SoundnessError ends a ladder whose last rung fails.
+coefficient times A plus shift_slack, rounded up.  It tries two upper
+ends of max_i A_i: A_box at one leaf per side ("a-priori"), then the row
+level at _BINS leaves ("binned" when it flags no leaf, "rows" when it
+refines), each box level computed at most once per call.  The rung is
+certified at the first that meets its budget and given up when the row
+level's misses; an upper end whose doubles overflow misses.  Since the
+row level takes the largest box sums first, a rung that cannot be met
+is usually given up after one row's sum.  SoundnessError ends a ladder
+whose last rung fails.
 """
 
 from __future__ import annotations
@@ -256,8 +257,9 @@ class KdeResult:
     the bounds on max_i A_i, the plain BLAS products or the compensated
     pass, its rows included.  `float_bound_source` says which enclosure
     of max_i A_i certified the run (module docstring): "a-priori" (the
-    box bound at one leaf per side), "binned" (at _BINS leaves) or
-    "rows" (the _BINS leaves that miss, refined down to rows).
+    box bound at one leaf per side), "binned" (the row level at _BINS
+    leaves, which refined nothing: the box bound there) or "rows" (the
+    _BINS leaves that miss, refined down to rows).
     """
     v: np.ndarray
     M: int                         # feature rank R
@@ -294,13 +296,22 @@ def estimate_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
                              pooled.min(axis=0).tolist())))
 
 
-def _cross_range_sq(X: np.ndarray, Y: np.ndarray) -> Fraction:
-    """max_l max(maxX_l - minY_l, maxY_l - minX_l)^2, exactly: an O(nm)
-    lower bound on the squared x-y diameter, equal to it when m = 1."""
-    return max(max(Fraction(xh) - Fraction(yl), Fraction(yh) - Fraction(xl))
-               ** 2 for xh, xl, yh, yl in zip(
-                   X.max(axis=0).tolist(), X.min(axis=0).tolist(),
-                   Y.max(axis=0).tolist(), Y.min(axis=0).tolist()))
+def _diameter_floor(X: np.ndarray, Y: np.ndarray) -> Fraction:
+    """An O(nm) lower bound on the squared x-y diameter, exactly: the larger
+    of max_l max(maxX_l - minY_l, maxY_l - minX_l)^2 (the squared diameter
+    itself when m = 1) and the squared distance of one pair, picked in
+    doubles: the y farthest from X's midrange, then the x farthest from
+    that y."""
+    y = Y[((Y - 0.5 * (X.max(axis=0) + X.min(axis=0))) ** 2).sum(axis=1)
+          .argmax()]
+    x = X[((X - y) ** 2).sum(axis=1).argmax()]
+    pair = sum((Fraction(a) - Fraction(b)) ** 2
+               for a, b in zip(x.tolist(), y.tolist()))
+    return max([pair] + [
+        max(Fraction(xh) - Fraction(yl), Fraction(yh) - Fraction(xl)) ** 2
+        for xh, xl, yh, yl in zip(
+            X.max(axis=0).tolist(), X.min(axis=0).tolist(),
+            Y.max(axis=0).tolist(), Y.min(axis=0).tolist())])
 
 
 def measured_diameter_sq(X: np.ndarray, Y: np.ndarray) -> float:
@@ -318,9 +329,10 @@ def make_instance(X, Y, w, delta, B=None) -> KdeInstance:
     """Validate and package a KDE instance; estimates B when not given.
 
     B, the squared-diameter bound, is clamped up to 1.  A given B below
-    the exact O(nm) lower bound max_l max(maxX_l - minY_l,
-    maxY_l - minX_l)^2 raises DomainError; the estimated B bounds every
-    x-y squared distance by construction and is not checked again.
+    the exact O(nm) floor of _diameter_floor (the cross range per
+    coordinate, and one far pair) raises DomainError; the estimated B
+    bounds every x-y squared distance by construction and is not checked
+    again.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
@@ -346,7 +358,7 @@ def make_instance(X, Y, w, delta, B=None) -> KdeInstance:
     if B_frac < 1:
         B_frac = Fraction(1)
     if not estimated:
-        floor = _cross_range_sq(X, Y)
+        floor = _diameter_floor(X, Y)
         if B_frac < floor:
             raise DomainError(
                 f"B = {_round_down(B_frac):.17g} is below "
@@ -696,14 +708,16 @@ def _leaf_boxes(P: np.ndarray, p_sq: np.ndarray, K: int, fm: FeatureMap):
 
 def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
                       w: np.ndarray, fm: FeatureMap, leaves: int
-                      ) -> tuple[Callable[[], Fraction], Fraction | None,
-                                 Callable[[Fraction], Fraction | None]]:
-    """(A_row, A_box, rows) from pairs of at most `leaves` k-d boxes per
-    side of the centered rows |x'| and |y'|, with the sides' _norms
-    (module docstring): A_row() <= max_i A_i <= A_box, A_row a cached
-    function and A_box None when the double evaluation overflows, and
-    rows(L) the row level's upper end for a rung that allows
-    max_i A_i <= L, None when its doubles overflow."""
+                      ) -> tuple[Fraction | None,
+                                 Callable[[Fraction],
+                                          tuple[Fraction | None, bool]]]:
+    """(A_box, rows) from pairs of at most `leaves` k-d boxes per side of
+    the centered rows |x'| and |y'|, with the sides' _norms (module
+    docstring): max_i A_i <= A_box, None when the double evaluation
+    overflows, and rows(L) = (upper, refined) for a rung that allows
+    max_i A_i <= L: the row level's upper end, None when its doubles
+    overflow, and whether it flagged any leaf.  A row level that refines
+    nothing reports A_box itself."""
     n = w.shape[0]
     K = min(n, leaves)
     edges = np.arange(K + 1) * n // K
@@ -716,18 +730,11 @@ def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
     head = _round_up(head + 2 * _gamma(fm.m + 5, u) * S)
     y_boxes = (lo_y, hi_y, c_pos + head, W)
     per_leaf = _pair_sums(lo_x, hi_x, a_pos, y_boxes, fm)
-    top = int(per_leaf.argmax())
     members = np.arange(n)[order_x]     # the rows in leaf order
     box_scale = (1 - _gamma(n, u)) * (1 - _gamma(2 * fm.d + K + 1, u))
-    row_scale = 1 - _gamma(n + 2 * fm.d + 1, u)
+    row_scale = (1 - _gamma(n, u)) * (1 - _gamma(2 * fm.d + n + 1, u))
 
-    @functools.cache
-    def A_row() -> Fraction:
-        i = members[edges[top]:edges[top] + 1]
-        row = float(_row_abs_sums(X[i], xs[0][i], Y, ys[0], w, fm, False)[0])
-        return Fraction(row) * row_scale if math.isfinite(row) else Fraction(0)
-
-    def rows(limit: Fraction) -> Fraction | None:
+    def rows(limit: Fraction) -> tuple[Fraction | None, bool]:
         box_lim, row_lim = (_round_down(max(limit, 0) * scale)
                             for scale in (box_scale, row_scale))
         flagged = ~(per_leaf <= box_lim)
@@ -739,22 +746,27 @@ def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
             for c in _chunks(len(idx), K, _CHUNK_BYTES)])
         left = np.argsort(boxed)[::-1]  # largest first, NaN before all
         left = left[~(boxed[left] <= box_lim)]
-        row = 0.0
-        for c in _chunks(len(left), n, _CHUNK_BYTES):
-            i = idx[left[c]]
-            sums = _row_abs_sums(X[i], xs[0][i], Y, ys[0], w, fm, up=True)
+        y_abs = np.abs(Y)
+        points = (y_abs, y_abs,
+                  2 * np.maximum(ys[0] - fm.shift, 0.0) + head, np.abs(w))
+        row, done, step = 0.0, 0, 1
+        while done < len(left):
+            c = left[done:done + step]
+            sums = _pair_sums(x_abs[c], x_abs[c], a_rows[c], points, fm)
             row = float(np.maximum(row, sums.max()))    # NaN stays
+            done += step
             if not (sums <= row_lim).all():
-                left = left[:c.stop]
                 break
-        boxed[left] = 0.0  # each row's bound is the least one taken for it
+            step = min(2 * step, max(1, _CHUNK_BYTES // (8 * n)))
+        boxed[left[:done]] = 0.0  # each row's bound is the least taken
         box = float(np.concatenate([per_leaf[~flagged], boxed]).max(initial=0))
-        return max(Fraction(box) / box_scale, Fraction(row) / row_scale) \
+        upper = max(Fraction(box) / box_scale, Fraction(row) / row_scale) \
             if math.isfinite(box + row) else None
+        return upper, bool(flagged.any())
 
-    total = float(per_leaf[top])
-    return (A_row, Fraction(total) / box_scale if math.isfinite(total)
-            else None, rows)
+    total = float(per_leaf.max())
+    return (Fraction(total) / box_scale if math.isfinite(total) else None,
+            rows)
 
 
 def _pair_sums(lo_x: np.ndarray, hi_x: np.ndarray, a_pos: np.ndarray,
@@ -778,20 +790,6 @@ def _q_abs_fl(t: np.ndarray, fm: FeatureMap) -> np.ndarray:
         Q *= t
         Q += c
     return Q
-
-
-def _row_abs_sums(Xr: np.ndarray, xr_sq: np.ndarray, Y: np.ndarray,
-                  y_sq: np.ndarray, w: np.ndarray, fm: FeatureMap,
-                  up: bool) -> np.ndarray:
-    """fl(sum_n |w_n| Q_abs(t_n)) per centered row of Xr against the
-    centered rows Y, from fl(||p||^2) of each, with each row's arguments
-    raised (`up`) or lowered by gamma_{m+3} max t_n (module docstring)."""
-    t = (np.abs(y_sq - fm.shift) + np.abs(xr_sq - fm.shift)[:, None]) \
-        + 2 * (np.abs(Xr) @ np.abs(Y).T)
-    g = _round_up(_gamma(fm.m + 3, Fraction(_EPS)))
-    move = np.nextafter(t.max(axis=1, keepdims=True) * g, math.inf)
-    t = t + move if up else np.maximum(t - move, 0.0)
-    return _q_abs_fl(t, fm) @ np.abs(w)
 
 
 def _budget(inst: KdeInstance, xs: tuple, ys: tuple
@@ -852,16 +850,12 @@ def kde_matvec(inst: KdeInstance, fm: FeatureMap,
         _binned_abs_bound, inst.X, inst.Y, xs, ys, inst.w, fm))
     for use_high, g in {None: rungs, "plain": rungs[:1],
                         "high": rungs[1:]}[force]:
-        bound = math.inf
-        for source in ("a-priori", "binned", "rows"):
-            lower, upper, rows = level(1 if source == "a-priori" else _BINS)
-            if source == "rows":    # at most once per rung
-                upper = rows((budget - slack) / g)
-            if upper is None:
-                continue
-            bound = _round_up(g * upper + slack)
-            if bound <= budget or _round_up(g * lower() + slack) > budget:
-                break
+        limit = (budget - slack) / g    # the largest max_i A_i it allows
+        upper, source = level(1)[0], "a-priori"
+        if upper is None or upper > limit:
+            upper, refined = level(_BINS)[1](limit)
+            source = "rows" if refined else "binned"
+        bound = math.inf if upper is None else _round_up(g * upper + slack)
         if bound <= budget:
             break
     else:

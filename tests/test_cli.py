@@ -173,9 +173,8 @@ def test_build_stdout_is_parseable(capsys):
 # kde
 
 
-def _instance_doc(n=6, m=2, delta="1e-3", B=None, seed=9):
+def _instance_doc(n=6, m=2, delta="1e-3", B=None, seed=9, side=1.0):
     rng = np.random.default_rng(seed)
-    side = 1.0
     doc = {
         "n": n,
         "m": m,
@@ -264,7 +263,8 @@ def test_kde_csv_inputs(tmp_path, capsys):
 
 def test_kde_capacity_exit(tmp_path, capsys):
     path = tmp_path / "big.json"
-    doc = _instance_doc(n=4, m=50, delta="1e-9", B="9")
+    # coordinates in [-0.2, 0.2]: B = 9 bounds the squared distances
+    doc = _instance_doc(n=4, m=50, delta="1e-9", B="9", side=0.2)
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, ["kde", "--instance", str(path)])
     assert code == 4
@@ -296,12 +296,14 @@ def test_error_exit_names_the_error_kind(capsys, monkeypatch):
 
 
 def test_kde_validate_reports_the_diameter(tmp_path, capsys):
-    # B = 10 clears the O(nm) bound, 3^2 = 9, but not the squared
-    # diameter 18, which --validate reports; at B = 18 it stays silent
+    # the O(nm) floor is the far pair's 40, above the cross range's 36;
+    # B = 42 clears it but not the squared diameter 45, which --validate
+    # reports; at B = 45 it stays silent
     path = tmp_path / "inst.json"
-    for B, violation in (("10", 18.0), ("18", None)):
-        path.write_text(json.dumps({"x": [[0, 0]], "y": [[3, 3]], "w": [1],
-                                    "delta": "1e-3", "B": B}))
+    points = {"x": [[3, 3], [-4, -4]], "y": [[2, -1], [1, -3]], "w": [1, 1],
+              "delta": "1e-3"}
+    for B, violation in (("42", 45.0), ("45", None)):
+        path.write_text(json.dumps({**points, "B": B}))
         code, out, _ = _run(capsys, ["kde", "--instance", str(path),
                                      "--validate", "--no-timings"])
         assert code == 0
@@ -311,8 +313,7 @@ def test_kde_validate_reports_the_diameter(tmp_path, capsys):
         else:
             assert float(doc["diameter_violation"]) == violation
     # without --validate nothing is measured
-    path.write_text(json.dumps({"x": [[0, 0]], "y": [[3, 3]], "w": [1],
-                                "delta": "1e-3", "B": "10"}))
+    path.write_text(json.dumps({**points, "B": "42"}))
     code, out, _ = _run(capsys, ["kde", "--instance", str(path),
                                  "--no-timings"])
     assert code == 0 and "diameter_violation" not in json.loads(out)

@@ -626,28 +626,12 @@ def _escalate_instance(n=1024, seed=1, delta="1e-12"):
 def _ends_instance(n=1024, seed=1):
     # sources near both ends of [-2, 2], queries near its midpoint, and B
     # a bound on the true squared diameter: |a'| reaches about 3B/4 > t0,
-    # so at delta = 2e-13 the one-leaf A_row rules out plain doubles, while
-    # the one-leaf box bound admits the compensated rung
+    # so at delta = 2e-13 the row level misses plain doubles, while the
+    # one-leaf box bound admits the compensated rung
     rng = np.random.default_rng(seed)
     X = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.9, 2.0, n))[:, None]
     Y = rng.uniform(-0.05, 0.05, (n, 1))
     return make_instance(X, Y, rng.standard_normal(n), "2e-13", B="4.25")
-
-
-def test_lower_bound_below_measured_abs_sum():
-    # A_row is at most the row level's upper end with every row refined:
-    # the raised row bound of each row against every row of Y
-    for inst in (_ends_instance(), _escalate_instance()):
-        _, fm = kernel_map(inst.m, inst.B, inst.delta)
-        centered, xs, ys = _sides(inst, fm)
-        sums = kde_mod._row_abs_sums(centered.X, xs[0], centered.Y, ys[0],
-                                     centered.w, fm, up=True)
-        upper = Fraction(float(sums.max())) / (
-            1 - _gamma(inst.n + 2 * fm.d + 1, Fraction(_EPS)))
-        for leaves in (1, kde_mod._BINS):
-            A_row, _, _ = _binned_abs_bound(centered.X, centered.Y, xs, ys,
-                                            centered.w, fm, leaves)
-            assert A_row() <= upper
 
 
 def _straddle_instance():
@@ -680,7 +664,8 @@ def _binned_cases():
     # argument tight, and m = 8 (_bound_cases); the kde-escalate and _ends
     # shapes at small n; an m = 3 box; equal norms across leaf edges; the
     # triangle, whose positive a' the folded argument must cover; a
-    # constant kernel; an argument that rounds up, and one that rounds down
+    # constant kernel; an argument that rounds up, one that rounds down,
+    # and one whose rounding only the raised head covers
     yield from _bound_cases()
     for inst in (_escalate_instance(n=24), _ends_instance(n=24)):
         yield inst, kernel_map(inst.m, inst.B, inst.delta)[1]
@@ -693,27 +678,26 @@ def _binned_cases():
     # p = 1, so no slack in the arguments moves either bound, and weights
     # whose float sum rounds below max_i A_i = 1 + 2^-54 (the gamma
     # divisors of A_box and of the row level must cover it) or above
-    # 1 + 2^-53 + 2^-60 (the gamma factor of A_row must)
+    # 1 + 2^-53 + 2^-60
     for w in (2.0 ** -54, 2.0 ** -53 + 2.0 ** -60):
         yield (make_instance([[0.0], [0.5]], [[0.25], [0.0]], [1.0, w],
                              "1e-3", B=1),
                expand_kernel_poly(_synthetic_poly([1]), 1))
-    # n = 1 and q(s) = s^16, with ||x||^2 just above t0/2 = 1/4: the
-    # float argument of A_row rounds up by 2.3 u relative, which q
-    # amplifies 16-fold, past the gamma_{2d+2} factor of A_row unless the
-    # argument is lowered first; y = -x keeps the centering exact
+    # n = 1 and q(s) = s^16, with ||x||^2 just above t0/2 = 1/4 (the
+    # synthetic p's B = 1 sets t0, and B = 2 covers ||2x||^2 = 1.0007):
+    # the float sum of squares rounds up by 2.3 u relative, which q
+    # amplifies 16-fold; y = -x keeps the centering exact
     x = [float.fromhex(h) for h in ("0x1.068cd738c0d2fp-2",
                                     "0x1.022ef48410d41p-2",
                                     "0x1.1c80936d140e6p-3",
                                     "0x1.ed81fb6f25ee1p-3",
                                     "0x1.ab337e45603ffp-3")]
-    yield (make_instance([x], [[-v for v in x]], [1.0], "1e-3", B=1),
+    yield (make_instance([x], [[-v for v in x]], [1.0], "1e-3", B=2),
            expand_kernel_poly(_synthetic_poly(
                [math.comb(16, k) * Fraction(-1, 2) ** (16 - k)
                 for k in range(17)]), 5))
-    # the other way: n = 1, q(s) = s^10 and a float argument 2.7 u below
-    # the exact one, which q amplifies past the 1 - gamma_{2d+2} divisor
-    # of the row level unless the argument is raised first
+    # the other way: n = 1, q(s) = s^10 and a float sum of squares 2.7 u
+    # below the exact one, which q amplifies tenfold
     x = [float.fromhex(h) for h in ("0x1.e4c9c16462136p-3",
                                     "0x1.9da45ad34a55ep-3",
                                     "0x1.abe4e28874868p-3",
@@ -721,10 +705,22 @@ def _binned_cases():
                                     "0x1.897e2225a3834p-5",
                                     "0x1.c348e8a879124p-3",
                                     "0x1.55737cb041dd8p-3")]
-    yield (make_instance([x], [[-v for v in x]], [1.0], "1e-3", B=1),
+    yield (make_instance([x], [[-v for v in x]], [1.0], "1e-3", B=2),
            expand_kernel_poly(_synthetic_poly(
                [math.comb(10, k) * Fraction(-1, 2) ** (10 - k)
                 for k in range(11)]), 7))
+    # n = 2, q(s) = s^16 and the second weight 0, so that the second pair
+    # only moves the centre: the rounded sums of the folded argument fall
+    # below the exact one by more than e_a + e_c covers, and q amplifies
+    # that past the divisors unless the head is raised (at the nearest
+    # double instead, every bound here misses by 1.7 to 2.7 u)
+    X, Y = ([[float.fromhex(h)] for h in pair] for pair in (
+        ("-0x1.5b8ba43c7a7ecp-1", "0x1.b4e56ed5dd0efp-1"),
+        ("-0x1.6716cdad46a48p-4", "0x1.6358461a61519p-3")))
+    yield (make_instance(X, Y, [1.0, 0.0], "1e-3", B=1),
+           expand_kernel_poly(_synthetic_poly(
+               [math.comb(16, k) * Fraction(-1, 2) ** (16 - k)
+                for k in range(17)]), 1))
 
 
 def test_binned_bound_encloses_exact_abs_sum():
@@ -735,25 +731,26 @@ def test_binned_bound_encloses_exact_abs_sum():
         exact = max(_exact_abs_sums(inst, fm))
         centered, xs, ys = _sides(inst, fm)
         for leaves in (kde_mod._BINS, 5, 2, 1):
-            A_row, A_box, _ = _binned_abs_bound(centered.X, centered.Y, xs,
-                                                ys, centered.w, fm, leaves)
-            assert A_row() <= exact <= A_box
+            A_box, _ = _binned_abs_bound(centered.X, centered.Y, xs, ys,
+                                         centered.w, fm, leaves)
+            assert exact <= A_box
     inst, fm = _triangle_case()
     assert (_sides(inst, fm)[1][0] > fm.shift).any()
 
 
 def test_row_level_encloses_exact_abs_sum():
-    # at the limit 0 every leaf is flagged and every row, in one chunk at
-    # these sizes, gets the raised row bound; at the exact maximum only
-    # the leaves and rows above it are refined, and at A_box none
+    # at the limit 0 every leaf is flagged and the first row, largest box
+    # sum first, gets the one-point bound against every row of Y; at the
+    # exact maximum only the leaves and rows above it are refined, and at
+    # A_box none
     for inst, fm in _binned_cases():
         exact = max(_exact_abs_sums(inst, fm))
         centered, xs, ys = _sides(inst, fm)
         for leaves in (kde_mod._BINS, 5, 2, 1):
-            _, A_box, rows = _binned_abs_bound(centered.X, centered.Y, xs,
-                                               ys, centered.w, fm, leaves)
+            A_box, rows = _binned_abs_bound(centered.X, centered.Y, xs, ys,
+                                            centered.w, fm, leaves)
             for limit in (Fraction(0), exact, A_box):
-                assert exact <= rows(limit)
+                assert exact <= rows(limit)[0]
 
 
 def _spy_rows(monkeypatch):
@@ -779,20 +776,23 @@ def _spy_box(monkeypatch):
 
 
 def _undecided_at_one_leaf(monkeypatch):
-    # the one-leaf level neither certifies nor rules out any rung
+    # the one-leaf level certifies no rung, so each goes on to the row
+    # level
     real = kde_mod._binned_abs_bound
     monkeypatch.setattr(
         kde_mod, "_binned_abs_bound",
-        lambda *args: (lambda: Fraction(0), Fraction(10 ** 400), None)
+        lambda *args: (Fraction(10 ** 400), None)
         if args[-1] == 1 else real(*args))
 
 
 def _overflowing(real):
-    # the box bound with an upper end that overflows at every leaf count:
-    # the ladder skips both box levels and goes on to the row level
+    # the box bound with leaf sums that overflow at every leaf count: the
+    # one-leaf level certifies nothing and the row level flags every leaf,
+    # whose rows it then bounds with the real sums
     def box(*args):
-        A_row, _, rows = real(*args)
-        return A_row, None, rows
+        with mock.patch.object(kde_mod, "_pair_sums",
+                               lambda lo_x, *_: np.full(len(lo_x), np.inf)):
+            return real(*args)
     return box
 
 
@@ -837,12 +837,10 @@ def test_escalate_shape_certifies_from_the_binned_bound(monkeypatch):
 def test_escalate_shape_builds_no_plain_rows(monkeypatch):
     # both rungs build the same double rows: when the bounds alone choose
     # the compensated rung, its one pass builds each chunk once and no
-    # plain row is built.  The one-leaf bound decides _ends_instance: its
-    # A_row rules plain doubles out.  At delta = 2e-13 the kde-escalate
-    # shape needs the binned bound to rule them out, its A_row ruling out
-    # the row level, and the one-leaf bound then certifies the
-    # compensated rung
-    for inst, leaves in ((_ends_instance(), [1]),
+    # plain row is built.  On _ends_instance and on the kde-escalate shape
+    # at delta = 2e-13 the row level rules plain doubles out, and the
+    # one-leaf bound then certifies the compensated rung
+    for inst, leaves in ((_ends_instance(), [1, kde_mod._BINS]),
                          (_escalate_instance(delta="2e-13"),
                           [1, kde_mod._BINS])):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
@@ -935,8 +933,8 @@ def test_box_bound_is_rounded_up(monkeypatch):
                              rng.standard_normal(n), "1e-3")
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         centered, xs, ys = _sides(inst, fm)
-        _, A_box, _ = real(centered.X, centered.Y, xs, ys, centered.w, fm,
-                           kde_mod._BINS)
+        A_box, _ = real(centered.X, centered.Y, xs, ys, centered.w, fm,
+                        kde_mod._BINS)
         _, shift_slack, w_lo = kde_mod._budget(centered, xs, ys)
         N = gamma_ops(inst.n, fm)
         sums = inst.n + fm.rank
@@ -979,8 +977,8 @@ def test_wide_box_certifies_the_compensated_rung():
 
 def test_row_level_certifies_past_the_box_bound():
     # at squared diameter 255 (B estimated 253.2) the box bound misses the
-    # compensated budget and A_row does not rule it out; the row level
-    # certifies it, at 0.93 of the budget
+    # compensated budget; the row level certifies it, at 0.93 of the
+    # budget
     _assert_wide_solve(_wide_instance(196, 1, diameter_sq=255), "rows")
 
 
@@ -1010,12 +1008,13 @@ def test_make_instance_refuses_B_below_the_cross_range():
         make_instance([[3.0]], [[-3.0]], [1.0], "1e-3",
                       B=Fraction(36) - Fraction(1, 10 ** 30))
     assert make_instance([[3.0]], [[-3.0]], [1.0], "1e-3", B=36).B == 36
-    # in two, the largest coordinate's range: 9, below the true 18
+    # in two, the largest coordinate's range gives 9 and the far pair the
+    # true 18
     X, Y = [[0.0, 0.0]], [[3.0, 3.0]]
-    with pytest.raises(DomainError):
-        make_instance(X, Y, [1.0], "1e-3", B="8.999")
-    assert make_instance(X, Y, [1.0], "1e-3", B=9).B == 9
-    assert make_instance(X, Y, [1.0], "1e-3", B=10).B == 10
+    for B in ("8.999", 9, 10, "17.999"):
+        with pytest.raises(DomainError):
+            make_instance(X, Y, [1.0], "1e-3", B=B)
+    assert make_instance(X, Y, [1.0], "1e-3", B=18).B == 18
     # the check follows the clamp to 1: here the bound is 1
     assert make_instance([[0.0]], [[1.0]], [1.0], "1e-3", B="0.5").B == 1
 
@@ -1159,7 +1158,7 @@ def test_float_bound_encloses_exact_sum_on_both_precisions(case):
     exact = [sum(Fraction(wj) * oracles.kernel_poly_value(
         fm.poly.monomial_form, x, y) for y, wj in zip(ys, w)) for x in xs]
     w1 = sum(abs(Fraction(wj)) for wj in w)
-    undecided = (lambda: Fraction(0), Fraction(10 ** 400), None)
+    undecided = (Fraction(10 ** 400), None)
     real = kde_mod._binned_abs_bound
     results = [kde_matvec(inst, fm), kde_matvec(inst, fm, force="high")]
     with mock.patch.object(kde_mod, "_binned_abs_bound",
