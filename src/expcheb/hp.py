@@ -16,7 +16,6 @@ from fractions import Fraction
 from mpmath import libmp
 from mpmath.libmp import (
     from_int,
-    from_man_exp,
     from_str,
     mpf_abs,
     mpf_add,
@@ -51,9 +50,15 @@ def _coerce_raw(value):
     if isinstance(value, int):
         return from_int(value), True
     if isinstance(value, float):
-        n, d = value.as_integer_ratio()
-        return from_man_exp(n, -(d.bit_length() - 1)), True
+        return _finite(libmp.from_float(value), value), True
     return None, False
+
+
+def _finite(raw, value):
+    """raw, unless it is mpmath's nan or an infinity: DomainError."""
+    if raw[1] == 0 != raw[2]:
+        raise DomainError(f"non-finite value {value!r}")
+    return raw
 
 
 class HPReal:
@@ -75,7 +80,7 @@ class HPReal:
         if exact:
             self.raw = raw
         elif isinstance(value, str):
-            self.raw = from_str(value.strip(), bits, _RND)
+            self.raw = _finite(from_str(value.strip(), bits, _RND), value)
         elif isinstance(value, Fraction):
             num = from_int(value.numerator)
             den = from_int(value.denominator)

@@ -148,13 +148,17 @@ the fold above, with the same raised head, and K_y = n:
            / ((1 - gamma_n) (1 - gamma_{2d + n + 1})),
 
 in O(n (m + d)) per row.  For a rung that allows max_i A_i <= L, the row
-level flags the _BINS x-leaves whose box sum is above L or overflows,
-takes each of their rows as its own box against the same y leaves, and
-gives the rows still above L the one-point bound against every row of Y:
-largest box sum first, in chunks of 1, 2, 4, ... rows up to _CHUNK_BYTES
-of arguments, up to the first chunk that misses.  Its upper end is the
-largest, over the rows, of the least bound taken for each; a row level
-that flags no leaf has the upper end A_box at _BINS leaves.
+level flags the _BINS x-leaves whose box sum is above L or overflows and
+walks their rows once: largest leaf sum first (an overflowed one before
+all), in chunks of 1, 2, 4, ... rows up to _CHUNK_BYTES of one-point
+arguments.  Each chunk's rows are boxed, one point each, against the
+same y leaves, and the rows still above L get the one-point bound
+against every row of Y at once.  The walk stops after the first chunk
+with a row whose one-point bound is above L.  The upper end is the
+largest, over the rows, of the bound taken for each: the leaf sum for a
+row of a leaf not flagged and for a row not reached, else the row's box
+sum or its one-point sum.  A row level that flags no leaf has the upper
+end A_box at _BINS leaves.
 
 The precision is one ladder over the rungs `force` allows, plain doubles
 and then the compensated rung.  A rung bounds the error by its
@@ -164,8 +168,10 @@ level at _BINS leaves ("binned" when it flags no leaf, "rows" when it
 refines), each box level computed at most once per call.  The rung is
 certified at the first that meets its budget and given up when the row
 level's misses; an upper end whose doubles overflow misses.  Since the
-row level takes the largest box sums first, a rung that cannot be met
-is usually given up after one row's sum.  SoundnessError ends a ladder
+walk takes the largest leaf sums first and stops at the first row that
+misses, a rung that cannot be met is usually given up after one row:
+past the box levels, a sort of the rows by leaf sum and that row's two
+sums, in O(n log n + (_BINS + n) (m + d)).  SoundnessError ends a ladder
 whose last rung fails.
 """
 
@@ -716,8 +722,12 @@ def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
     docstring): max_i A_i <= A_box, None when the double evaluation
     overflows, and rows(L) = (upper, refined) for a rung that allows
     max_i A_i <= L: the row level's upper end, None when its doubles
-    overflow, and whether it flagged any leaf.  A row level that refines
-    nothing reports A_box itself."""
+    overflow, and whether it flagged any leaf.  rows walks the rows of
+    the flagged leaves once, largest leaf sum first, boxing each chunk
+    against the y leaves and point-summing its rows still above L, and
+    stops at the first chunk that misses; the rows it did not reach count
+    at their leaf sums.  A row level that refines nothing reports A_box
+    itself."""
     n = w.shape[0]
     K = min(n, leaves)
     edges = np.arange(K + 1) * n // K
@@ -730,39 +740,38 @@ def _binned_abs_bound(X: np.ndarray, Y: np.ndarray, xs: tuple, ys: tuple,
     head = _round_up(head + 2 * _gamma(fm.m + 5, u) * S)
     y_boxes = (lo_y, hi_y, c_pos + head, W)
     per_leaf = _pair_sums(lo_x, hi_x, a_pos, y_boxes, fm)
-    members = np.arange(n)[order_x]     # the rows in leaf order
     box_scale = (1 - _gamma(n, u)) * (1 - _gamma(2 * fm.d + K + 1, u))
     row_scale = (1 - _gamma(n, u)) * (1 - _gamma(2 * fm.d + n + 1, u))
 
     def rows(limit: Fraction) -> tuple[Fraction | None, bool]:
         box_lim, row_lim = (_round_down(max(limit, 0) * scale)
                             for scale in (box_scale, row_scale))
-        flagged = ~(per_leaf <= box_lim)
-        idx = members[np.repeat(flagged, np.diff(edges))]
-        x_abs = np.abs(X[idx])
-        a_rows = 2 * np.maximum(xs[0][idx] - fm.shift, 0.0)
-        boxed = np.concatenate([np.empty(0)] + [
-            _pair_sums(x_abs[c], x_abs[c], a_rows[c], y_boxes, fm)
-            for c in _chunks(len(idx), K, _CHUNK_BYTES)])
-        left = np.argsort(boxed)[::-1]  # largest first, NaN before all
-        left = left[~(boxed[left] <= box_lim)]
+        leaf_sum = np.repeat(per_leaf, np.diff(edges))  # rows in leaf order
+        walk = np.argsort(leaf_sum, kind="stable")[::-1]  # NaN before all
+        flagged = int((~(leaf_sum <= box_lim)).sum())  # a prefix of walk
+        members = np.arange(n)[order_x]
         y_abs = np.abs(Y)
         points = (y_abs, y_abs,
                   2 * np.maximum(ys[0] - fm.shift, 0.0) + head, np.abs(w))
-        row, done, step = 0.0, 0, 1
-        while done < len(left):
-            c = left[done:done + step]
-            sums = _pair_sums(x_abs[c], x_abs[c], a_rows[c], points, fm)
-            row = float(np.maximum(row, sums.max()))    # NaN stays
-            done += step
+        box, row, done, step = 0.0, 0.0, 0, 1
+        while done < flagged:
+            c = members[walk[done:min(done + step, flagged)]]
+            x, a = np.abs(X[c]), 2 * np.maximum(xs[0][c] - fm.shift, 0.0)
+            boxed = _pair_sums(x, x, a, y_boxes, fm)
+            over = ~(boxed <= box_lim)
+            box = max(box, float(boxed[~over].max(initial=0)))
+            sums = _pair_sums(x[over], x[over], a[over], points, fm)
+            row = float(np.maximum(row, sums.max(initial=0)))   # NaN stays
+            done += len(c)
             if not (sums <= row_lim).all():
                 break
             step = min(2 * step, max(1, _CHUNK_BYTES // (8 * n)))
-        boxed[left[:done]] = 0.0  # each row's bound is the least taken
-        box = float(np.concatenate([per_leaf[~flagged], boxed]).max(initial=0))
+        # rows not reached, and the rows of leaves not flagged, count at
+        # their leaf sums
+        box = float(np.append(leaf_sum[walk[done:]], box).max())
         upper = max(Fraction(box) / box_scale, Fraction(row) / row_scale) \
             if math.isfinite(box + row) else None
-        return upper, bool(flagged.any())
+        return upper, flagged > 0
 
     total = float(per_leaf.max())
     return (Fraction(total) / box_scale if math.isfinite(total) else None,

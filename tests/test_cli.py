@@ -114,6 +114,8 @@ def test_coeffs_csv_example(capsys):
 def test_coeffs_validation(capsys):
     assert main(["coeffs", "--lambda", "1", "--count", "0"]) == 2
     assert main(["coeffs", "--lambda", "0.25", "--count", "2"]) == 2
+    for lam in ("inf", "nan"):
+        assert main(["coeffs", "--lambda", lam, "--count", "2"]) == 2
     capsys.readouterr()
 
 
@@ -154,6 +156,19 @@ def test_eval_outside_domain_warns_but_evaluates(tmp_path, capsys):
     assert code == 0
     assert "warning" in err and "outside [0, 4]" in err
     assert len(out.strip().splitlines()) == 2
+
+
+def test_eval_refuses_non_finite_points(tmp_path, capsys):
+    poly_path = tmp_path / "poly.json"
+    _run(capsys, ["build", "--B", "4", "--delta", "1e-6",
+                  "--out", str(poly_path)])
+    for z in ("nan", "inf", "-inf"):
+        pts = tmp_path / "pts.txt"
+        pts.write_text(f"1\n{z}\n")
+        code, out, err = _run(capsys, ["eval", "--poly", str(poly_path),
+                                       "--points", str(pts)])
+        assert code == 2 and out == ""
+        assert "non-finite" in err
 
 
 def test_eval_missing_file(capsys):

@@ -70,6 +70,15 @@ def test_domain_errors():
         hpf(0).log()
     with pytest.raises(DomainError):
         hpf(-2).log()
+    # mpmath parses these to nan and infinities, which to_fraction would
+    # read as 0
+    for value in ("inf", "-inf", "+inf", "nan", " NaN ", math.inf,
+                  -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            hpf(value)
+    with pytest.raises(DomainError):
+        hpf(1) + math.inf
+    assert 10 ** 399 < hpf("1e400") < 10 ** 401
 
 
 def test_elementary_values():

@@ -775,6 +775,18 @@ def _spy_box(monkeypatch):
     return leaves
 
 
+def _spy_pair_sums(monkeypatch):
+    # the x boxes and y boxes that each call of _pair_sums pairs
+    calls = []
+    real = kde_mod._pair_sums
+
+    def spy(lo_x, hi_x, a_pos, y_boxes, fm):
+        calls.append((len(lo_x), len(y_boxes[3])))
+        return real(lo_x, hi_x, a_pos, y_boxes, fm)
+    monkeypatch.setattr(kde_mod, "_pair_sums", spy)
+    return calls
+
+
 def _undecided_at_one_leaf(monkeypatch):
     # the one-leaf level certifies no rung, so each goes on to the row
     # level
@@ -839,16 +851,22 @@ def test_escalate_shape_builds_no_plain_rows(monkeypatch):
     # the compensated rung, its one pass builds each chunk once and no
     # plain row is built.  On _ends_instance and on the kde-escalate shape
     # at delta = 2e-13 the row level rules plain doubles out, and the
-    # one-leaf bound then certifies the compensated rung
+    # one-leaf bound then certifies the compensated rung.  The row level
+    # gives plain doubles up within its first two chunks: after the call
+    # that pairs the leaves, each call boxes at most 2 rows
     for inst, leaves in ((_ends_instance(), [1, kde_mod._BINS]),
                          (_escalate_instance(delta="2e-13"),
                           [1, kde_mod._BINS])):
         _, fm = kernel_map(inst.m, inst.B, inst.delta)
         calls, boxes = _spy_rows(monkeypatch), _spy_box(monkeypatch)
+        pairs = _spy_pair_sums(monkeypatch)
         res = kde_matvec(inst, fm)
         assert res.used_high_precision
         assert res.float_bound_source == "a-priori"
         assert boxes == leaves
+        binned = [x for x, y in pairs if y == kde_mod._BINS]
+        assert binned[0] == kde_mod._BINS and len(binned) > 1
+        assert max(binned[1:]) <= 2
         chunks = kde_mod._chunks(inst.n, fm.rank, kde_mod._DD_CHUNK_BYTES)
         assert calls.count("build_feature_matrices") == 2 * len(chunks)
         assert res.elapsed_build == 0
